@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError
 from .intlinalg import vscale
 from .rootdata import RootDatum
-from .weyl import WeylElement, WeylGroup, double_coset_table, weyl_group
+from .weyl import WeylElement, double_coset_table, weyl_group
 
 ORD = "ord"
 JACQUET = "jacquet"
@@ -137,17 +137,6 @@ def _word(w: WeylElement) -> str:
     return str(w)
 
 
-def _subset_weight(group: WeylGroup, inside: frozenset, outside: frozenset) -> int:
-    """Total multiplicity of positive roots supported in `inside` but not `outside`."""
-    table = group.table
-    total = 0
-    for r in range(group.num_positive):
-        s = table.support(r)
-        if s <= inside and not s <= outside:
-            total += table.mult[r]
-    return total
-
-
 def _status_for_surviving(w, J, meet, n) -> TermStatus:
     if meet == J:  # the image of J under w lies inside I: trivial outer induction
         return TermStatus("proven", RULE_LEVI_FORM)
@@ -155,6 +144,96 @@ def _status_for_surviving(w, J, meet, n) -> TermStatus:
         return TermStatus("proven", RULE_DEGREE_ZERO)
     note = EMERTON_NOTE if w.length == 0 else ""
     return TermStatus("conjectural", RULE_CONJECTURAL, note=note)
+
+
+def _check_side_and_e(side: str, e: int) -> None:
+    if side not in (ORD, JACQUET):
+        raise DomainError(f"unknown side {side!r}")
+    if e < 1:
+        raise DomainError("the field degree e must be a positive integer")
+
+
+def _twist_sign(I: frozenset, sigma: SigmaDescriptor, side: str, opposite: bool) -> int:
+    """Sign of delta_w in the twist, after checking the descriptor and the flag."""
+    for k in sigma.declared_for(side):
+        if not k < I:
+            raise DomainError("declared vanishing subsets must be proper subsets of the Levi")
+    sign = -1 if side == ORD else 1
+    if opposite:
+        if side == ORD:
+            raise DomainError("the opposite-flag option applies to the jacquet side")
+        sign = -sign
+    return sign
+
+
+def _terms_by_degree(group, table, e, degrees, sigma, side, sign, opposite) -> dict:
+    """The graded pieces of each degree in `degrees`, all read off one table.
+
+    An entry's top inner degree and twist do not depend on the degree, so
+    they are computed once per entry (the top once per distinct comeet).
+    """
+    I, J = table.I, table.J
+    cuspidal = sigma.cuspidal_for(side)
+    declared = sigma.declared_for(side)
+    negative = TermStatus("zero", RULE_NEGATIVE, "inner functor vanishes in negative degree")
+    full_levi = TermStatus(
+        "zero",
+        RULE_FULL_LEVI,
+        "higher ordinary parts of the full Levi vanish"
+        if side == ORD
+        else "higher homology of the trivial unipotent group vanishes",
+    )
+    above_top = TermStatus("zero", RULE_TOP, "inner degree above the top of the unipotent group")
+    cuspidal_zero = TermStatus(
+        "zero",
+        RULE_CUSPIDAL,
+        "ordinary parts of a cuspidal representation vanish on proper parabolics"
+        if side == ORD
+        else "coinvariants of a cuspidal representation vanish on proper parabolics",
+    )
+    declared_zero = TermStatus("zero", RULE_DECLARED, "declared vanishing of the degree-zero inner functor")
+    weights: dict = {}
+    rows = []
+    for entry in table.entries:
+        inner = entry.comeet  # I cap w(J)
+        if inner not in weights:
+            weights[inner] = group.table.subset_weight(I, inner)
+        rows.append((entry, e * weights[inner], vscale(sign, entry.delta)))
+    out = {}
+    for n in degrees:
+        terms = []
+        for entry, top, twist in rows:
+            inner = entry.comeet
+            m = n - e * entry.d
+            if m < 0:
+                status = negative
+            elif inner == I and m > 0:
+                status = full_levi
+            elif m > top:
+                status = above_top
+            elif m == 0 and inner != I and cuspidal:
+                status = cuspidal_zero
+            elif m == 0 and inner != I and inner in declared:
+                status = declared_zero
+            else:
+                status = _status_for_surviving(entry.rep, J, entry.meet, n)
+            terms.append(
+                GradedTerm(
+                    side=side,
+                    degree=n,
+                    conjugator=entry.rep,
+                    outer=J,
+                    inducing=entry.meet,
+                    inner_levi=I,
+                    inner_subset=inner,
+                    inner_degree=m,
+                    twist=twist,
+                    status=status,
+                    opposite_flag=opposite,
+                )
+            )
+        out[n] = terms
+    return out
 
 
 def graded_terms(
@@ -168,68 +247,15 @@ def graded_terms(
     opposite: bool = False,
 ) -> list[GradedTerm]:
     """All graded pieces in degree n, one per double-coset representative."""
-    if side not in (ORD, JACQUET):
-        raise DomainError(f"unknown side {side!r}")
-    if e < 1:
-        raise DomainError("the field degree e must be a positive integer")
+    _check_side_and_e(side, e)
     if n < 0:
         raise DomainError("the cohomological degree must be nonnegative")
     group = weyl_group(datum)
     I = datum.check_subset(I)
     J = datum.check_subset(J)
-    for k in sigma.declared_for(side):
-        if not k < I:
-            raise DomainError("declared vanishing subsets must be proper subsets of the Levi")
+    sign = _twist_sign(I, sigma, side, opposite)
     table = double_coset_table(group, I, J)
-    sign = -1 if side == ORD else 1
-    if opposite:
-        if side == ORD:
-            raise DomainError("the opposite-flag option applies to the jacquet side")
-        sign = -sign
-    out = []
-    for entry in table.entries:
-        w = entry.rep
-        inner = entry.comeet  # I cap w(J)
-        m = n - e * entry.d
-        top = e * _subset_weight(group, I, inner)
-        if m < 0:
-            status = TermStatus("zero", RULE_NEGATIVE, "inner functor vanishes in negative degree")
-        elif inner == I and m > 0:
-            reason = (
-                "higher ordinary parts of the full Levi vanish"
-                if side == ORD
-                else "higher homology of the trivial unipotent group vanishes"
-            )
-            status = TermStatus("zero", RULE_FULL_LEVI, reason)
-        elif m > top:
-            status = TermStatus("zero", RULE_TOP, "inner degree above the top of the unipotent group")
-        elif m == 0 and inner != I and sigma.cuspidal_for(side):
-            reason = (
-                "ordinary parts of a cuspidal representation vanish on proper parabolics"
-                if side == ORD
-                else "coinvariants of a cuspidal representation vanish on proper parabolics"
-            )
-            status = TermStatus("zero", RULE_CUSPIDAL, reason)
-        elif m == 0 and inner != I and inner in sigma.declared_for(side):
-            status = TermStatus("zero", RULE_DECLARED, "declared vanishing of the degree-zero inner functor")
-        else:
-            status = _status_for_surviving(w, J, entry.meet, n)
-        out.append(
-            GradedTerm(
-                side=side,
-                degree=n,
-                conjugator=w,
-                outer=J,
-                inducing=entry.meet,
-                inner_levi=I,
-                inner_subset=inner,
-                inner_degree=m,
-                twist=vscale(sign, entry.delta),
-                status=status,
-                opposite_flag=opposite,
-            )
-        )
-    return out
+    return _terms_by_degree(group, table, e, (n,), sigma, side, sign, opposite)[n]
 
 
 def hord_graded_pieces(datum, I, J, e, n, sigma) -> list[GradedTerm]:
@@ -279,13 +305,13 @@ def full_profile(
     group = weyl_group(datum)
     I = datum.check_subset(I)
     J = datum.check_subset(J)
+    _check_side_and_e(side, e)
+    sign = _twist_sign(I, sigma, side, opposite)
     table = double_coset_table(group, I, J)
     d_max = max((entry.d for entry in table.entries), default=0)
     top = max(n_max, e * d_max)
-    terms = {
-        n: tuple(graded_terms(datum, I, J, e, n, sigma, side=side, opposite=opposite))
-        for n in range(top + 1)
-    }
+    by_degree = _terms_by_degree(group, table, e, range(top + 1), sigma, side, sign, opposite)
+    terms = {n: tuple(ts) for n, ts in by_degree.items()}
     report = GradingReport(
         datum_name=datum.name or "datum",
         I=I,
@@ -320,7 +346,7 @@ def _expected_nested_shape(datum, group, report, n) -> set:
         return sigma.cuspidal_for(side) or inner in sigma.declared_for(side)
 
     expected = set()
-    if n <= e * _subset_weight(group, I, J) and not (n == 0 and killed(J)):
+    if n <= e * group.table.subset_weight(I, J) and not (n == 0 and killed(J)):
         expected.add(group.identity)
     if n == e:
         for a in sorted(datum.delta1 - I):

@@ -221,7 +221,15 @@ def _phi_subset_pos(group: WeylGroup, K) -> frozenset:
 
 def _case_checks(group: WeylGroup, rng: random.Random) -> list[str]:
     out = []
+    left, right = group.descents
     for w in group.elements:
+        # descent masks against the length criterion, by group multiplication
+        for g in range(group.datum.num_simple):
+            s = group.gen(g)
+            if bool(right[w.index] >> g & 1) != (group.mul(w, s).length < w.length):
+                out.append(f"right descent mask of {w} disagrees at {group.datum.labels[g]}")
+            if bool(left[w.index] >> g & 1) != (group.mul(s, w).length < w.length):
+                out.append(f"left descent mask of {w} disagrees at {group.datum.labels[g]}")
         if w.length != len(group.inversions(w)):
             out.append(f"length of {w} differs from its inversion count")
         if group.from_word(w.word) != w:

@@ -44,7 +44,8 @@ class RootSystemTable:
     `positive[i]` is the i-th positive root in X* coordinates, `coeffs[i]` its
     coordinates in the simple-root basis and `mult[i]` its multiplicity.  Index
     convention for the full reduced system: root i is positive for i < N and
-    -positive[i - N] for N <= i < 2N.
+    -positive[i - N] for N <= i < 2N.  `support_mask[i]` is the support of
+    positive root i as a bitmask over simple indices, in the encoding of `mask`.
     """
 
     positive: tuple[Vector, ...]
@@ -52,13 +53,32 @@ class RootSystemTable:
     mult: tuple[int, ...]
     simple_index: tuple[int, ...]
     index: dict  # vector -> index in the full system
+    support_mask: tuple[int, ...]
 
     @property
     def count(self) -> int:
         return len(self.positive)
 
+    @staticmethod
+    def mask(subset) -> int:
+        """A set of simple indices as a bitmask: bit k stands for simple root k."""
+        out = 0
+        for k in subset:
+            out |= 1 << k
+        return out
+
     def support(self, i: int) -> frozenset[int]:
         return frozenset(k for k, c in enumerate(self.coeffs[i]) if c)
+
+    def subset_weight(self, inside, outside) -> int:
+        """Total multiplicity of positive roots supported in `inside` but not in `outside`."""
+        not_inside = ~self.mask(inside)
+        not_outside = ~self.mask(outside)
+        return sum(
+            m
+            for s, m in zip(self.support_mask, self.mult)
+            if not s & not_inside and s & not_outside
+        )
 
 
 @dataclass(frozen=True)
@@ -195,7 +215,10 @@ class RootDatum:
                     continue
                 if index[self.reflect_vector(i, v)] >= n:
                     raise DomainError("corrupt datum: simple reflection does not permute positive roots")
-        return RootSystemTable(vectors, coeffs, mult, simple_index, index)
+        support_mask = tuple(
+            RootSystemTable.mask(k for k, c in enumerate(cv) if c) for cv in coeffs
+        )
+        return RootSystemTable(vectors, coeffs, mult, simple_index, index, support_mask)
 
     @property
     def positive_roots(self) -> tuple[Vector, ...]:

@@ -6,12 +6,19 @@ module computes Bruhat order, minimal coset and double-coset representatives
 with their Kostant-style decompositions, the inversion invariants d_w and
 delta_w, unipotent cross-section root sets, and the order-reversing opposition
 bijections between double-coset representative sets.
+
+Coset membership is a descent test: w is minimal in W_I w (in w W_J) exactly
+when no simple root of I is a left (of J a right) descent of w.  The group
+keeps every element's left and right descent sets as int bitmasks over simple
+indices, computed on first use, so a membership test is one `&`.  The Bruhat
+matrix of a double-coset table is also computed on first use: only the JSON
+output and the tests read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError
 from .intlinalg import vadd, vscale, zero_vector
@@ -218,16 +225,37 @@ class WeylGroup:
         except ValueError:
             return None
 
-    def is_left_minimal(self, w: WeylElement, I) -> bool:
-        """w is the shortest element of W_I w  (w^{-1} keeps Phi_I^+ positive)."""
+    @cached_property
+    def descents(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(left, right): every element's descent sets, indexed like `elements`.
+
+        Each set is a bitmask over simple indices (`RootSystemTable.mask`).
+        j is a right descent of w when w(alpha_j) < 0, and i is a left descent
+        when it is a right descent of w^{-1}, i.e. when the root that w sends
+        to alpha_i is negative.  Computed on first use, not in the group build.
+        """
         n = self.num_positive
-        wi = self.inv(w)
-        return all(wi.perm[self._simple_pos(i)] < n for i in I)
+        simple = tuple(enumerate(self.table.simple_index))
+        left, right = [], []
+        for w in self.elements:
+            perm = w.perm
+            lm = rm = 0
+            for i, p in simple:
+                if perm.index(p) >= n:
+                    lm |= 1 << i
+                if perm[p] >= n:
+                    rm |= 1 << i
+            left.append(lm)
+            right.append(rm)
+        return tuple(left), tuple(right)
+
+    def is_left_minimal(self, w: WeylElement, I) -> bool:
+        """w is the shortest element of W_I w  (no left descent in I)."""
+        return not self.descents[0][w.index] & self.table.mask(I)
 
     def is_right_minimal(self, w: WeylElement, J) -> bool:
-        """w is the shortest element of w W_J  (w keeps Phi_J^+ positive)."""
-        n = self.num_positive
-        return all(w.perm[self._simple_pos(j)] < n for j in J)
+        """w is the shortest element of w W_J  (no right descent in J)."""
+        return not self.descents[1][w.index] & self.table.mask(J)
 
     # -- parabolic subgroups ----------------------------------------------------
 
@@ -278,31 +306,30 @@ class WeylGroup:
     # -- coset decompositions ----------------------------------------------------
 
     def min_coset_reps(self, I) -> tuple[WeylElement, ...]:
-        I = self.datum.check_subset(I)
-        return tuple(w for w in self.elements if self.is_left_minimal(w, I))
+        m = self.table.mask(self.datum.check_subset(I))
+        return tuple(w for w, d in zip(self.elements, self.descents[0]) if not d & m)
 
     def coset_decompose(self, I, w: WeylElement) -> tuple[WeylElement, WeylElement]:
         """Unique factorisation w = w_I * x with w_I in W_I and x left-minimal."""
-        I = self.datum.check_subset(I)
-        n = self.num_positive
+        m = self.table.mask(self.datum.check_subset(I))
+        left = self.descents[0]
         u = self.identity
         x = w
         while True:
-            xi = self.inv(x)
-            i = next((i for i in I if xi.perm[self._simple_pos(i)] >= n), None)
-            if i is None:
+            d = left[x.index] & m
+            if not d:
                 return u, x
-            g = self.gen(i)
+            # strip the lowest descent in I; any order gives the same unique factors
+            g = self.gen((d & -d).bit_length() - 1)
             x = self.mul(g, x)
             u = self.mul(u, g)
 
     def double_coset_reps(self, I, J) -> tuple[WeylElement, ...]:
-        I = self.datum.check_subset(I)
-        J = self.datum.check_subset(J)
+        mi = self.table.mask(self.datum.check_subset(I))
+        mj = self.table.mask(self.datum.check_subset(J))
+        left, right = self.descents
         return tuple(
-            w
-            for w in self.elements
-            if self.is_left_minimal(w, I) and self.is_right_minimal(w, J)
+            w for w, l, r in zip(self.elements, left, right) if not (l & mi or r & mj)
         )
 
     def double_decompose(self, I, J, iw: WeylElement) -> tuple[WeylElement, WeylElement]:
@@ -311,14 +338,16 @@ class WeylGroup:
         J = self.datum.check_subset(J)
         if not self.is_left_minimal(iw, I):
             raise DomainError("element is not a minimal left-coset representative")
-        n = self.num_positive
+        m = self.table.mask(J)
+        right = self.descents[1]
         x = iw
         v = self.identity
         while True:
-            j = next((j for j in J if x.perm[self._simple_pos(j)] >= n), None)
-            if j is None:
+            d = right[x.index] & m
+            if not d:
                 return x, v
-            g = self.gen(j)
+            # strip the lowest descent in J; any order gives the same unique factors
+            g = self.gen((d & -d).bit_length() - 1)
             x = self.mul(x, g)
             v = self.mul(g, v)
 
@@ -379,36 +408,43 @@ class DoubleCosetTable:
     J: frozenset[int]
     reps: tuple[WeylElement, ...]
     entries: tuple[DoubleCosetEntry, ...]
-    leq: tuple[tuple[bool, ...], ...]  # Bruhat order restricted to reps
+
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """Bruhat order restricted to reps, computed on first use.
+
+        The identity is always a representative, so reps[0] knows the group.
+        """
+        group = self.reps[0].group
+        return tuple(tuple(group.bruhat_leq(u, v) for v in self.reps) for u in self.reps)
+
+    @cached_property
+    def _by_rep(self) -> dict:
+        return {e.rep: e for e in self.entries}
 
     def entry(self, rep: WeylElement) -> DoubleCosetEntry:
-        for e in self.entries:
-            if e.rep == rep:
-                return e
-        raise DomainError("element is not a double-coset representative")
+        found = self._by_rep.get(rep)
+        if found is None:
+            raise DomainError("element is not a double-coset representative")
+        return found
 
 
 def double_coset_table(group: WeylGroup, I, J) -> DoubleCosetTable:
     I = group.datum.check_subset(I)
     J = group.datum.check_subset(J)
     reps = group.double_coset_reps(I, J)
+    w_j = group.parabolic_elements(J)
     entries = []
     for w in reps:
-        wi = group.inv(w)
         # J cap w^{-1}(I): the j in J with w(alpha_j) a simple root of I
         meet = group.image_subset(w, J, I)
         # I cap w(J): the i in I with w^{-1}(alpha_i) a simple root of J
-        comeet = group.image_subset(wi, I, J)
-        fiber = tuple(
-            v for v in group.parabolic_elements(J) if group.is_left_minimal(v, meet)
-        )
+        comeet = group.image_subset(group.inv(w), I, J)
+        fiber = tuple(v for v in w_j if group.is_left_minimal(v, meet))
         entries.append(
             DoubleCosetEntry(w, meet, comeet, group.d(w), group.delta(w), fiber)
         )
-    leq = tuple(
-        tuple(group.bruhat_leq(u, v) for v in reps) for u in reps
-    )
-    return DoubleCosetTable(I, J, reps, tuple(entries), leq)
+    return DoubleCosetTable(I, J, reps, tuple(entries))
 
 
 # -- cross sections ------------------------------------------------------------
@@ -449,6 +485,9 @@ def cross_section(group: WeylGroup, I, J, iw: WeylElement) -> CrossSection:
     J = group.datum.check_subset(J)
     iwj, w_j = group.double_decompose(I, J, iw)
     table = group.table
+    support = table.support_mask
+    outside_i = ~table.mask(I)
+    outside_j = ~table.mask(J)
     n = group.num_positive
     u_w, u_p, u_pp = set(), set(), set()
     n_j, n_jp, n_jpp = set(), set(), set()
@@ -458,8 +497,8 @@ def cross_section(group: WeylGroup, I, J, iw: WeylElement) -> CrossSection:
         if img >= n:
             continue  # inverted: not part of the cross section
         u_w.add(r)
-        in_levi_I = table.support(img) <= I
-        in_phi_J = table.support(r) <= J
+        in_levi_I = not support[img] & outside_i
+        in_phi_J = not support[r] & outside_j
         if in_levi_I:
             u_pp.add(r)
             (u_jpp if in_phi_J else n_jpp).add(r)

@@ -237,3 +237,45 @@ def _subset_delta(group, K):
         if not table.support(r) <= K:
             out = vadd(out, vscale(table.mult[r], table.positive[r]))
     return out
+
+
+# declared vanishing of the degree-zero inner functor along the empty subset
+DECLARED = SigmaDescriptor(ord_vanishes_for={frozenset()}, jacquet_vanishes_for={frozenset()})
+
+
+@pytest.mark.parametrize(
+    "type_str, lattice, multiplicity",
+    [("A3", "gl", None), ("B3", "simply_connected", None), ("G2", "simply_connected", None), ("A2", "simply_connected", (2, 2))],
+)
+def test_profile_matches_graded_terms(type_str, lattice, multiplicity):
+    datum = preset_datum(type_str, lattice, multiplicity=multiplicity)
+    last = datum.num_simple - 1
+    pairs = [({0}, {0}), ({0}, {last}), (set(range(datum.num_simple)), {last})]
+    sides = [(ORD, False), (JACQUET, False), (JACQUET, True)]
+    for (I, J), (side, opposite), sigma, e in itertools.product(pairs, sides, (SS, PLAIN, DECLARED), (1, 2)):
+        report = full_profile(datum, I, J, e, sigma, n_max=1, side=side, opposite=opposite)
+        assert sorted(report.terms) == list(range(report.max_degree + 1))
+        for n, terms in report.terms.items():
+            assert terms == tuple(graded_terms(datum, I, J, e, n, sigma, side=side, opposite=opposite))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d, I: full_profile(d, I, I, 0, SS), "field degree e"),
+        (lambda d, I: full_profile(d, I, I, 1, SS, opposite=True), "opposite-flag option applies"),
+        (lambda d, I: full_profile(d, I, I, 1, SigmaDescriptor(ord_vanishes_for={I})), "proper subsets"),
+        # which check fires first when several fail
+        (lambda d, I: full_profile(d, I, I, 0, SS, n_max=-1, side="bogus"), "profile degree bound"),
+        (lambda d, I: full_profile(d, {7}, I, 0, SS, side="bogus"), "outside the simple roots"),
+        (lambda d, I: full_profile(d, I, I, 0, SS, side="bogus"), "unknown side"),
+        (lambda d, I: full_profile(d, I, I, 0, SigmaDescriptor(ord_vanishes_for={I})), "field degree e"),
+        (lambda d, I: full_profile(d, I, I, 1, SigmaDescriptor(ord_vanishes_for={I}), opposite=True), "proper subsets"),
+        (lambda d, I: graded_terms(d, {7}, I, 0, -1, SS), "field degree e"),
+        (lambda d, I: graded_terms(d, {7}, I, 1, -1, SS), "cohomological degree"),
+        (lambda d, I: graded_terms(d, I, I, 1, 0, SigmaDescriptor(ord_vanishes_for={I}), opposite=True), "proper subsets"),
+    ],
+)
+def test_argument_checks_and_their_order(gl3, call, message):
+    with pytest.raises(DomainError, match=message):
+        call(gl3, gl3.subset(["a1"]))

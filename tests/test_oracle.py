@@ -5,6 +5,7 @@ import pytest
 from weylord import preset_datum, weyl_group
 from weylord.oracle import (
     SweepCase,
+    _case_checks,
     brute_bruhat,
     brute_double_reps,
     brute_min_reps,
@@ -13,6 +14,7 @@ from weylord.oracle import (
     random_reduced_word,
     sweep,
 )
+from weylord.weyl import WeylGroup
 
 
 @pytest.fixture(scope="module")
@@ -84,3 +86,14 @@ def test_sweep_multiplicity_case():
     assert all(r.agreement for r in reports)
     W = weyl_group(SweepCase("A2", multiplicity=(2, 2)).build())
     assert all(W.d(w) == 2 * w.length for w in W)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_case_checks_catch_a_wrong_descent_mask(side):
+    W = WeylGroup(preset_datum("A2"))
+    masks = [list(m) for m in W.descents]
+    masks[side][0] ^= 1  # the identity gets a descent it does not have
+    W.descents = tuple(tuple(m) for m in masks)
+    found = _case_checks(W, random.Random(1))
+    assert found and "descent mask of e disagrees at a1" in found[0]
+    assert ("left" if side == 0 else "right") in found[0]

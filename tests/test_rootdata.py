@@ -134,3 +134,19 @@ def test_unknown_label():
     a2 = preset_datum("A2")
     with pytest.raises(DomainError, match="unknown simple-root label"):
         a2.subset(["zz"])
+
+
+@pytest.mark.parametrize("type_str, multiplicity", [("B3", None), ("G2", None), ("A2", (2, 2))])
+def test_support_masks_and_subset_weight(type_str, multiplicity):
+    table = preset_datum(type_str, multiplicity=multiplicity).roots
+    s = len(table.simple_index)
+    for r in range(table.count):
+        assert table.support_mask[r] == sum(1 << k for k in table.support(r))
+    subsets = [frozenset(k for k in range(s) if mask >> k & 1) for mask in range(1 << s)]
+    for inside, outside in itertools.product(subsets, repeat=2):
+        expected = sum(
+            table.mult[r]
+            for r in range(table.count)
+            if table.support(r) <= inside and not table.support(r) <= outside
+        )
+        assert table.subset_weight(inside, outside) == expected

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from weylord import DomainError, preset_datum, weyl_group
-from weylord.weyl import cross_section, double_coset_table, opposition_map
+from weylord.weyl import WeylGroup, cross_section, double_coset_table, opposition_map
 
 
 @pytest.mark.parametrize("type_str, order, top", [("A1", 2, 1), ("A2", 6, 3), ("B2", 8, 4), ("G2", 12, 6)])
@@ -213,3 +213,38 @@ def test_opposition_cardinality(type_str):
             J = frozenset(j for j in range(n) if jmask >> j & 1)
             om = opposition_map(W, I, J)
             assert len(om.rep_map) == len(W.double_coset_reps(om.I_prime, J))
+
+
+def test_descent_masks_match_root_criterion():
+    W = WeylGroup(preset_datum("B3"))
+    assert "descents" not in vars(W)  # computed on first use, not in the build
+    left, right = W.descents
+    n = W.num_positive
+    simple = W.table.simple_index
+    for w in W:
+        wi = W.inv(w)
+        for k, p in enumerate(simple):
+            assert bool(right[w.index] >> k & 1) == (w.perm[p] >= n)
+            assert bool(left[w.index] >> k & 1) == (wi.perm[p] >= n)
+        for I in (frozenset(), frozenset({0}), frozenset({1, 2})):
+            assert W.is_left_minimal(w, I) == all(wi.perm[simple[i]] < n for i in I)
+            assert W.is_right_minimal(w, I) == all(w.perm[simple[i]] < n for i in I)
+
+
+def test_table_leq_is_lazy_and_matches_bruhat():
+    W = weyl_group(preset_datum("B3"))
+    table = double_coset_table(W, frozenset({0}), frozenset({1}))
+    assert len(table.reps) > 2 and all(e.fiber for e in table.entries)
+    assert "leq" not in vars(table)
+    for a, u in enumerate(table.reps):
+        for b, v in enumerate(table.reps):
+            assert table.leq[a][b] == W.bruhat_leq(u, v)
+
+
+def test_table_entry_lookup(w_gl4, gl4):
+    table = double_coset_table(w_gl4, gl4.subset(["a1"]), gl4.subset(["a2"]))
+    for entry in table.entries:
+        assert table.entry(entry.rep) is entry
+    outsider = next(w for w in w_gl4 if w not in set(table.reps))
+    with pytest.raises(DomainError, match="not a double-coset representative"):
+        table.entry(outsider)
