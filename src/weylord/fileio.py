@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import DomainError, InputError
 from .ext import Scenario
 from .grading import SigmaDescriptor
-from .rootdata import RootDatum, build_datum
+from .rootdata import RootDatum, build_datum, check_value_kinds
 
 
 class _Scanner:
@@ -157,33 +157,37 @@ def load_datum(path: str) -> RootDatum:
         return load_datum_text(fh.read())
 
 
-_SIGMA_KEYS = {"name", "supersingular", "right_cuspidal", "left_cuspidal"}
-_SCENARIO_KEYS = {
-    "I",
-    "J",
-    "e",
-    "p_is_2",
-    "sigma",
-    "sigma_prime",
-    "rel_twist",
-    "rel_id",
-    "pairings",
-    "conjecture_assumed",
-    "emerton_conjecture_assumed",
+_SIGMA_KINDS = {
+    "name": "a string",
+    "supersingular": "a boolean",
+    "right_cuspidal": "a boolean",
+    "left_cuspidal": "a boolean",
 }
+# sigma, sigma_prime, rel_twist and pairings are tables, checked where they are read
+_SCENARIO_KINDS = {
+    "I": "a list of strings",
+    "J": "a list of strings",
+    "e": "an integer",
+    "p_is_2": "a boolean",
+    "rel_id": "a string",
+    "conjecture_assumed": "a boolean",
+    "emerton_conjecture_assumed": "a boolean",
+}
+_SCENARIO_KEYS = set(_SCENARIO_KINDS) | {"sigma", "sigma_prime", "rel_twist", "pairings"}
 
 
 def _sigma_from_table(table, default_name) -> SigmaDescriptor:
     if not isinstance(table, dict):
         raise InputError("sigma entries must be tables like { supersingular = true }")
-    unknown = set(table) - _SIGMA_KEYS
+    unknown = set(table) - set(_SIGMA_KINDS)
     if unknown:
         raise InputError(f"unknown sigma keys: {sorted(unknown)}")
+    check_value_kinds(table, _SIGMA_KINDS, "sigma")
     return SigmaDescriptor(
         name=table.get("name", default_name),
-        supersingular=bool(table.get("supersingular", False)),
-        right_cuspidal=bool(table.get("right_cuspidal", False)),
-        left_cuspidal=bool(table.get("left_cuspidal", False)),
+        supersingular=table.get("supersingular", False),
+        right_cuspidal=table.get("right_cuspidal", False),
+        left_cuspidal=table.get("left_cuspidal", False),
     )
 
 
@@ -194,6 +198,7 @@ def scenario_from_dict(data: dict, datum: RootDatum) -> Scenario:
     missing = {"I", "J"} - set(data)
     if missing:
         raise InputError(f"scenario is missing required keys: {sorted(missing)}")
+    check_value_kinds(data, _SCENARIO_KINDS, "scenario")
 
     def label_index(label):
         try:
@@ -212,13 +217,13 @@ def scenario_from_dict(data: dict, datum: RootDatum) -> Scenario:
         J=datum.subset(data["J"]),
         sigma=_sigma_from_table(data.get("sigma", {}), "sigma"),
         sigma_prime=_sigma_from_table(data.get("sigma_prime", {}), "sigma_prime"),
-        e=int(data.get("e", 1)),
-        p_is_2=bool(data.get("p_is_2", False)),
+        e=data.get("e", 1),
+        p_is_2=data.get("p_is_2", False),
         central_pairings=keyed(data.get("pairings", {})),
         rel_twist=keyed(data.get("rel_twist", {})),
         rel_id=data.get("rel_id", "unknown"),
-        conjecture_assumed=bool(data.get("conjecture_assumed", False)),
-        emerton_conjecture_assumed=bool(data.get("emerton_conjecture_assumed", False)),
+        conjecture_assumed=data.get("conjecture_assumed", False),
+        emerton_conjecture_assumed=data.get("emerton_conjecture_assumed", False),
     )
 
 

@@ -223,6 +223,13 @@ def _case_checks(group: WeylGroup, rng: random.Random) -> list[str]:
     out = []
     left, right = group.descents
     for w in group.elements:
+        # the right-multiplication table against root-permutation composition
+        for g, gen_perm in enumerate(group._gen_perms):
+            ws = group.elements[group._right[w.index][g]]
+            if ws.perm != tuple(w.perm[r] for r in gen_perm):
+                out.append(f"right multiplication table of {w} disagrees at {group.datum.labels[g]}")
+        if out:
+            return out
         # descent masks against the length criterion, by group multiplication
         for g in range(group.datum.num_simple):
             s = group.gen(g)

@@ -431,8 +431,47 @@ def explicit_datum(
     )
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_list(v, item) -> bool:
+    return isinstance(v, (list, tuple)) and all(item(x) for x in v)
+
+
+# What a value read from a file may be, by the phrase an error message uses.
+_VALUE_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": _is_int,
+    "a boolean": lambda v: isinstance(v, bool),
+    "a list of strings": lambda v: _is_list(v, lambda x: isinstance(x, str)),
+    "a list of integers": lambda v: _is_list(v, _is_int),
+    "a list of integer vectors": lambda v: _is_list(v, lambda x: _is_list(x, _is_int)),
+}
+
+_DATUM_KINDS = {
+    "name": "a string",
+    "type": "a string",
+    "lattice": "a string",
+    "rank": "an integer",
+    "simple_roots": "a list of integer vectors",
+    "simple_coroots": "a list of integer vectors",
+    "multiplicity": "a list of integers",
+    "labels": "a list of strings",
+    "split": "a boolean",
+}
+
+
+def check_value_kinds(data: dict, kinds: dict, what: str) -> None:
+    """Raise InputError for the first value of `data` that is not of its kind."""
+    for key, kind in kinds.items():
+        if key in data and not _VALUE_KINDS[kind](data[key]):
+            raise InputError(f"{what} key {key!r} must be {kind}, got {data[key]!r}")
+
+
 def build_datum(data: dict) -> RootDatum:
     """Build a datum from a key/value mapping (the on-disk file format)."""
+    check_value_kinds(data, _DATUM_KINDS, "datum")
     data = dict(data)
     name = data.pop("name", "")
     if "type" in data:

@@ -1,18 +1,27 @@
 """Weyl groups acting on the reduced roots of a datum.
 
-Elements are stored as permutations of the full reduced root list together
-with a canonical (ShortLex-least) reduced word.  On top of the bare group this
-module computes Bruhat order, minimal coset and double-coset representatives
-with their Kostant-style decompositions, the inversion invariants d_w and
-delta_w, unipotent cross-section root sets, and the order-reversing opposition
-bijections between double-coset representative sets.
+An element w is keyed by the weight w^{-1}(rho) in fundamental-weight
+coordinates, where rho = (1, ..., 1).  The simple reflection s_g acts on such a
+weight x by x -> x - x_g * (row g of the Cartan matrix), and the key of w*s_g
+is s_g applied to the key of w.  rho is regular, so distinct elements have
+distinct keys, and the whole group is one breadth-first pass over the orbit
+of rho.  Each element also carries its canonical (ShortLex-least) reduced word
+and a row of the right-multiplication table; its permutation of the full
+reduced root list is composed from the word on first use.  On top of the bare
+group this module computes Bruhat order, minimal coset and double-coset
+representatives with their Kostant-style decompositions, the inversion
+invariants d_w and delta_w, unipotent cross-section root sets, and the
+order-reversing opposition bijections between double-coset representative
+sets.
 
 Coset membership is a descent test: w is minimal in W_I w (in w W_J) exactly
-when no simple root of I is a left (of J a right) descent of w.  The group
-keeps every element's left and right descent sets as int bitmasks over simple
-indices, computed on first use, so a membership test is one `&`.  The Bruhat
-matrix of a double-coset table is also computed on first use: only the JSON
-output and the tests read it.
+when no simple root of I is a left (of J a right) descent of w.  The right
+descents of w are the negative coordinates of its key, and the left descents
+are the right descents of w^{-1}.  The group keeps every element's left and
+right descent sets as int bitmasks over simple indices, computed on first
+use, so a membership test is one `&`.  The Bruhat matrix of a double-coset
+table is also computed on first use: only the JSON output and the tests read
+it.
 """
 
 from __future__ import annotations
@@ -25,28 +34,49 @@ from .intlinalg import vadd, vscale, zero_vector
 from .rootdata import RootDatum
 
 WEYL_CAP = 1_000_000
+WEYL_CACHE_SIZE = 32  # groups kept by `weyl_group`; the largest benchmark holds 10
 
 
 class WeylElement:
-    """A Weyl group element: root permutation plus canonical reduced word."""
+    """A Weyl group element: its index in the group and canonical reduced word.
 
-    __slots__ = ("group", "index", "perm", "word")
+    `perm`, the permutation of the full reduced root list (positive roots,
+    then their negatives), is composed from the word on first access and
+    cached.  Elements of one group are equal when their indices are; elements
+    of two groups are equal when their indices and root permutations are, so
+    two groups built from the same datum under two names share their elements.
+    """
 
-    def __init__(self, group, index, perm, word):
+    __slots__ = ("group", "index", "word", "_perm")
+
+    def __init__(self, group, index, word):
         self.group = group
         self.index = index
-        self.perm = perm
         self.word = word
+        self._perm = None
 
     @property
     def length(self) -> int:
         return len(self.word)
 
+    @property
+    def perm(self) -> tuple[int, ...]:
+        perm = self._perm
+        if perm is None:
+            gen_perms = self.group._gen_perms
+            perm = tuple(range(2 * self.group.num_positive))
+            for g in self.word:
+                perm = tuple([perm[r] for r in gen_perms[g]])
+            self._perm = perm
+        return perm
+
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.perm == other.perm
+        if not isinstance(other, WeylElement) or self.index != other.index:
+            return False
+        return self.group is other.group or self.perm == other.perm
 
     def __hash__(self):
-        return hash(self.perm)
+        return self.index
 
     def __mul__(self, other):
         return self.group.mul(self, other)
@@ -74,10 +104,16 @@ class WeylElement:
 
 
 class WeylGroup:
-    """The full Weyl group of a datum, generated breadth-first.
+    """The full Weyl group of a datum, generated breadth-first from rho.
 
     Elements come out sorted by (length, canonical word); the identity is
-    element 0 and the longest element is last.
+    element 0 and the longest element is last.  `_right[i][g]` is the index
+    of elements[i] * s_g.
+
+    A key w^{-1}(rho) is packed into one int, `bits` bits per coordinate with
+    `bias` added: a coordinate <w^{-1}(rho), alpha_j^vee> is the height of the
+    coroot w(alpha_j^vee) up to sign, so it lies within the number of positive
+    roots, and s_g then acts on the packed key as one multiply-subtract.
     """
 
     def __init__(self, datum: RootDatum, cap: int = WEYL_CAP):
@@ -97,41 +133,51 @@ class WeylGroup:
             gen_perms.append(tuple(images))
         self._gen_perms = gen_perms
 
-        identity = tuple(range(full))
-        words: dict[tuple, tuple] = {identity: ()}
-        layer = [identity]
-        while layer:
-            fresh = []
-            for p in sorted(layer, key=lambda q: words[q]):
-                base = words[p]
-                for g in range(datum.num_simple):
-                    gp = gen_perms[g]
-                    q = tuple(p[gp[r]] for r in range(full))
-                    if q not in words:
-                        words[q] = base + (g,)
-                        fresh.append(q)
-            if len(words) > cap:
-                raise DomainError(f"Weyl group exceeds the configured cap ({cap})")
-            layer = fresh
-
-        order = sorted(words, key=lambda q: (len(words[q]), words[q]))
-        self.elements = tuple(
-            WeylElement(self, i, p, words[p]) for i, p in enumerate(order)
+        bias = n + 1
+        bits = (2 * bias).bit_length()
+        self._bias, self._bits = bias, bits
+        fields = (1 << bits) - 1
+        # (g, shift of coordinate g, packed row g of the Cartan matrix)
+        gens = tuple(
+            (g, bits * g, sum(c << bits * j for j, c in enumerate(row)))
+            for g, row in enumerate(datum.cartan)
         )
-        self._by_perm = {w.perm: w.index for w in self.elements}
+        rho = sum((1 + bias) << bits * j for j in range(datum.num_simple))
+        keys = [rho]
+        words = [()]
+        right = []
+        index = {rho: 0}
+        # Scanning a layer in index order with generators in increasing order
+        # finds each element first through its ShortLex-least reduced word, so
+        # discovery order is already the (length, word) order.
+        start, end = 0, 1
+        while start < end:
+            for i in range(start, end):
+                x = keys[i]
+                base = words[i]
+                row = []
+                for g, shift, packed in gens:
+                    y = x - ((x >> shift & fields) - bias) * packed
+                    j = index.get(y)
+                    if j is None:
+                        j = index[y] = len(keys)
+                        keys.append(y)
+                        words.append(base + (g,))
+                    row.append(j)
+                right.append(tuple(row))
+            if len(keys) > cap:
+                raise DomainError(f"Weyl group exceeds the configured cap ({cap})")
+            start, end = end, len(keys)
+
+        self._keys = keys
+        self._right = right
+        self.elements = tuple(WeylElement(self, i, w) for i, w in enumerate(words))
         self.identity = self.elements[0]
         self.w0 = self.elements[-1]
         # the longest element inverts every positive root
         if self.w0.length != n:
             raise DomainError("corrupt datum: longest element does not invert all positive roots")
 
-        self._right = [
-            tuple(
-                self._by_perm[tuple(w.perm[gen_perms[g][r]] for r in range(full))]
-                for g in range(datum.num_simple)
-            )
-            for w in self.elements
-        ]
         self._inv = [None] * len(self.elements)
         self._cones: dict[int, frozenset[int]] = {}
         self._parabolic_cache: dict[frozenset, tuple] = {}
@@ -156,11 +202,9 @@ class WeylGroup:
     def inv(self, w: WeylElement) -> WeylElement:
         cached = self._inv[w.index]
         if cached is None:
-            perm = w.perm
-            ip = [0] * len(perm)
-            for a, b in enumerate(perm):
-                ip[b] = a
-            cached = self._by_perm[tuple(ip)]
+            cached = 0
+            for g in reversed(w.word):
+                cached = self._right[cached][g]
             self._inv[w.index] = cached
         return self.elements[cached]
 
@@ -196,7 +240,8 @@ class WeylGroup:
     def inversions(self, w: WeylElement) -> tuple[int, ...]:
         """Positive-root indices sent to negative roots."""
         n = self.num_positive
-        return tuple(r for r in range(n) if w.perm[r] >= n)
+        perm = w.perm
+        return tuple(r for r in range(n) if perm[r] >= n)
 
     def d(self, w: WeylElement) -> int:
         """Total multiplicity of the inversion set."""
@@ -230,24 +275,19 @@ class WeylGroup:
         """(left, right): every element's descent sets, indexed like `elements`.
 
         Each set is a bitmask over simple indices (`RootSystemTable.mask`).
-        j is a right descent of w when w(alpha_j) < 0, and i is a left descent
-        when it is a right descent of w^{-1}, i.e. when the root that w sends
-        to alpha_i is negative.  Computed on first use, not in the group build.
+        j is a right descent of w when w(alpha_j) < 0, that is when coordinate
+        j of the key w^{-1}(rho) is negative, and i is a left descent when it
+        is a right descent of w^{-1}.  Computed on first use, not in the group
+        build.
         """
-        n = self.num_positive
-        simple = tuple(enumerate(self.table.simple_index))
-        left, right = [], []
-        for w in self.elements:
-            perm = w.perm
-            lm = rm = 0
-            for i, p in simple:
-                if perm.index(p) >= n:
-                    lm |= 1 << i
-                if perm[p] >= n:
-                    rm |= 1 << i
-            left.append(lm)
-            right.append(rm)
-        return tuple(left), tuple(right)
+        bias, bits = self._bias, self._bits
+        shifts = tuple(enumerate(range(0, bits * self.datum.num_simple, bits)))
+        fields = (1 << bits) - 1
+        right = tuple(
+            sum(1 << j for j, shift in shifts if x >> shift & fields < bias) for x in self._keys
+        )
+        left = tuple(right[self.inv(w).index] for w in self.elements)
+        return left, right
 
     def is_left_minimal(self, w: WeylElement, I) -> bool:
         """w is the shortest element of W_I w  (no left descent in I)."""
@@ -355,9 +395,10 @@ class WeylGroup:
 
     def image_subset(self, w: WeylElement, J, into) -> frozenset[int]:
         """{ j in J : w(alpha_j) is a simple root belonging to `into` }."""
+        perm = w.perm
         out = set()
         for j in J:
-            r = w.perm[self._simple_pos(j)]
+            r = perm[self._simple_pos(j)]
             k = self.simple_of_root(r) if r < self.num_positive else None
             if k is not None and k in into:
                 out.add(j)
@@ -365,9 +406,10 @@ class WeylGroup:
 
     def transport_subset(self, w: WeylElement, K) -> frozenset[int]:
         """Apply w to a subset of simple roots; all images must stay simple."""
+        perm = w.perm
         out = set()
         for k in K:
-            r = w.perm[self._simple_pos(k)]
+            r = perm[self._simple_pos(k)]
             i = self.simple_of_root(r) if r < self.num_positive else None
             if i is None:
                 raise DomainError("subset is not carried to simple roots")
@@ -375,7 +417,7 @@ class WeylGroup:
         return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=WEYL_CACHE_SIZE)
 def weyl_group(datum: RootDatum, cap: int = WEYL_CAP) -> WeylGroup:
     return WeylGroup(datum, cap)
 
@@ -489,11 +531,12 @@ def cross_section(group: WeylGroup, I, J, iw: WeylElement) -> CrossSection:
     outside_i = ~table.mask(I)
     outside_j = ~table.mask(J)
     n = group.num_positive
+    perm = iw.perm
     u_w, u_p, u_pp = set(), set(), set()
     n_j, n_jp, n_jpp = set(), set(), set()
     u_j, u_jp, u_jpp = set(), set(), set()
     for r in range(n):
-        img = iw.perm[r]
+        img = perm[r]
         if img >= n:
             continue  # inverted: not part of the cross section
         u_w.add(r)

@@ -180,3 +180,30 @@ def test_exit_codes(datum_file, tmp_path, capsys):
     gl4.write_text(GL4)
     assert main(["ext", str(gl4), "--scenario", str(scen)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "datum_text, scenario_text, message",
+    [
+        ('type = "A2"\nmultiplicity = ["x", 1]\n', None, "'multiplicity' must be a list of integers"),
+        ('type = "A2"\nlabels = [1, 2]\n', None, "'labels' must be a list of strings"),
+        ('type = "A2"\nsplit = 3\n', None, "'split' must be a boolean"),
+        ('type = "A2"\nname = 3\n', None, "'name' must be a string"),
+        ('rank = 1\nsimple_roots = [["2"]]\nsimple_coroots = [[1]]\n', None, "'simple_roots' must be"),
+        ('type = "A2"\n', 'I = ["a1"]; J = ["a1"]; e = "x"\n', "'e' must be an integer"),
+        ('type = "A2"\n', 'I = "a1"; J = ["a1"]\n', "'I' must be a list of strings"),
+        ('type = "A2"\n', 'I = ["a1"]; J = ["a1"]; p_is_2 = "no"\n', "'p_is_2' must be a boolean"),
+        ('type = "A2"\n', 'I = ["a1"]; J = ["a1"]; sigma = { supersingular = 1 }\n', "'supersingular' must be a boolean"),
+    ],
+)
+def test_malformed_values_end_in_an_input_error(tmp_path, capsys, datum_text, scenario_text, message):
+    datum = tmp_path / "datum.txt"
+    datum.write_text(datum_text)
+    argv = ["info", str(datum)]
+    if scenario_text is not None:
+        scenario = tmp_path / "scenario.txt"
+        scenario.write_text(scenario_text)
+        argv = ["ext", str(datum), "--scenario", str(scenario)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("error:") and message in err[-1]

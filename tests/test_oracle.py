@@ -97,3 +97,13 @@ def test_case_checks_catch_a_wrong_descent_mask(side):
     found = _case_checks(W, random.Random(1))
     assert found and "descent mask of e disagrees at a1" in found[0]
     assert ("left" if side == 0 else "right") in found[0]
+
+
+def test_case_checks_catch_a_wrong_right_multiplication_entry():
+    W = WeylGroup(preset_datum("A2"))
+    s1 = W.parse_word("a1")
+    row = list(W._right[s1.index])
+    row[1] = 0  # a1 * a2 now claims to be the identity
+    W._right[s1.index] = tuple(row)
+    found = _case_checks(W, random.Random(1))
+    assert found == ["right multiplication table of a1 disagrees at a2"]

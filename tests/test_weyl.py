@@ -2,8 +2,25 @@ import itertools
 
 import pytest
 
-from weylord import DomainError, preset_datum, weyl_group
-from weylord.weyl import WeylGroup, cross_section, double_coset_table, opposition_map
+from weylord import DomainError, explicit_datum, preset_datum, weyl_group
+from weylord.intlinalg import vscale
+from weylord.weyl import (
+    WEYL_CACHE_SIZE,
+    WeylGroup,
+    cross_section,
+    double_coset_table,
+    opposition_map,
+)
+
+# Bourbaki numbering: a1-a3-a4-a5-a6 with a2 attached to a4.
+E6_CARTAN = (
+    (2, 0, -1, 0, 0, 0),
+    (0, 2, 0, -1, 0, 0),
+    (-1, 0, 2, -1, 0, 0),
+    (0, -1, -1, 2, -1, 0),
+    (0, 0, 0, -1, 2, -1),
+    (0, 0, 0, 0, -1, 2),
+)
 
 
 @pytest.mark.parametrize("type_str, order, top", [("A1", 2, 1), ("A2", 6, 3), ("B2", 8, 4), ("G2", 12, 6)])
@@ -248,3 +265,101 @@ def test_table_entry_lookup(w_gl4, gl4):
     outsider = next(w for w in w_gl4 if w not in set(table.reps))
     with pytest.raises(DomainError, match="not a double-coset representative"):
         table.entry(outsider)
+
+
+def _perm_reference(datum):
+    """(perms, words, right table) from a BFS over root permutations, sorted by (length, word)."""
+    table = datum.roots
+    roots = list(table.positive) + [vscale(-1, v) for v in table.positive]
+    gens = [
+        tuple(table.index[datum.reflect_vector(g, v)] for v in roots) for g in range(datum.num_simple)
+    ]
+    words = {tuple(range(len(roots))): ()}
+    layer = list(words)
+    while layer:
+        found = {}
+        for p in layer:
+            for g, gp in enumerate(gens):
+                q = tuple(p[r] for r in gp)
+                if q not in words:
+                    word = words[p] + (g,)
+                    found[q] = min(found.get(q, word), word)
+        words.update(found)
+        layer = list(found)
+    order = sorted(words, key=lambda q: (len(words[q]), words[q]))
+    position = {q: i for i, q in enumerate(order)}
+    right = [tuple(position[tuple(p[r] for r in gp)] for gp in gens) for p in order]
+    return order, [words[q] for q in order], right
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [
+        preset_datum("A2"),
+        preset_datum("B3"),
+        preset_datum("G2"),
+        preset_datum("A1xA1"),
+        preset_datum("A3", "gl", name="GL4"),
+        explicit_datum(2, [], [], name="T2"),
+        preset_datum("F4"),
+    ],
+    ids=lambda d: d.name,
+)
+def test_rho_orbit_build_matches_permutation_bfs(datum):
+    W = WeylGroup(datum)
+    perms, words, right = _perm_reference(datum)
+    assert [w.word for w in W] == words
+    assert W._right == right
+    assert [w.index for w in W] == list(range(len(perms)))
+    assert [w.perm for w in W] == perms
+
+
+def test_perm_is_composed_on_first_use():
+    W = WeylGroup(preset_datum("B3"))
+    assert all(w._perm is None for w in W)  # the build keeps no root permutation
+    w = W.w0
+    assert w.perm is w.perm and w._perm is not None
+    assert w.perm == tuple(range(W.num_positive, 2 * W.num_positive)) + tuple(range(W.num_positive))
+
+
+def test_inv_is_the_permutation_inverse():
+    W = weyl_group(preset_datum("F4"))
+    for w in W:
+        ip = [0] * len(w.perm)
+        for a, b in enumerate(w.perm):
+            ip[b] = a
+        assert W.inv(w).perm == tuple(ip)
+        assert W.mul(w, W.inv(w)) == W.identity
+
+
+def test_same_datum_under_two_names_gives_equal_elements():
+    A = WeylGroup(preset_datum("B3", name="first"))
+    B = WeylGroup(preset_datum("B3", name="second"))
+    for a, b in zip(A, B):
+        assert a == b and hash(a) == hash(b)
+    assert len(set(A) | set(B)) == len(A)
+    assert A.elements[1] != B.elements[2]
+    # an element of another datum with the same index is a different element
+    C = WeylGroup(preset_datum("C3"))
+    assert any(a != c for a, c in zip(A, C))
+
+
+def test_e6_order_and_descents():
+    e6 = explicit_datum(6, E6_CARTAN, [tuple(int(i == j) for i in range(6)) for j in range(6)], name="E6")
+    W = WeylGroup(e6)
+    assert len(W) == 51840 and W.w0.length == 36 == W.num_positive
+    left, right = W.descents
+    n = W.num_positive
+    simple = W.table.simple_index
+    for w in W.elements[::997] + (W.w0,):
+        wi = W.inv(w)
+        for k, p in enumerate(simple):
+            assert bool(right[w.index] >> k & 1) == (w.perm[p] >= n)
+            assert bool(left[w.index] >> k & 1) == (wi.perm[p] >= n)
+
+
+def test_weyl_group_cache_is_bounded():
+    assert weyl_group.cache_info().maxsize == WEYL_CACHE_SIZE >= 32
+    for k in range(WEYL_CACHE_SIZE + 1):
+        weyl_group(preset_datum("A1", name=f"A1 copy {k}"))
+    assert weyl_group.cache_info().currsize == WEYL_CACHE_SIZE
