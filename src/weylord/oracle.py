@@ -224,9 +224,10 @@ def _case_checks(group: WeylGroup, rng: random.Random) -> list[str]:
     left, right = group.descents
     for w in group.elements:
         # the right-multiplication table against root-permutation composition
+        perm = w.perm
         for g, gen_perm in enumerate(group._gen_perms):
             ws = group.elements[group._right[w.index][g]]
-            if ws.perm != tuple(w.perm[r] for r in gen_perm):
+            if ws.perm != tuple(perm[r] for r in gen_perm):
                 out.append(f"right multiplication table of {w} disagrees at {group.datum.labels[g]}")
         if out:
             return out
