@@ -15,7 +15,6 @@ from .errors import DomainError, InputError
 from .ext import ext1_verdict, extn_mode
 from .fileio import load_datum, load_scenario
 from .grading import ORD, JACQUET, SigmaDescriptor, full_profile, graded_terms
-from .oracle import DEFAULT_TYPES, default_cases, sweep
 from .weyl import double_coset_table, weyl_group
 
 
@@ -269,6 +268,9 @@ def _cmd_ext(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: no other verb needs the oracle, and every call would compile it
+    from .oracle import DEFAULT_TYPES, default_cases, sweep
+
     types = DEFAULT_TYPES if args.types is None else tuple(
         t for t in args.types.replace(",", " ").split() if t
     )

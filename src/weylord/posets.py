@@ -160,19 +160,23 @@ def check_lin_identity(poset: FinitePoset, length, x0) -> bool:
     sets of the other elements of length <= n exactly in the union of the
     lower sets of the elements strictly below x0.
     """
-    values = {x: length(x) for x in poset.elements}
-    for x in poset.elements:
-        for y in poset.elements:
-            if x != y and poset.leq(x, y) and not values[x] < values[y]:
+    down = poset._down
+    values = [length(x) for x in poset.elements]
+    for i, v in enumerate(values):
+        below = down[i] & ~(1 << i)
+        while below:
+            low = below & -below
+            if not values[low.bit_length() - 1] < v:
                 raise DomainError("length function is not strictly monotonic")
-    n = values[x0]
+            below ^= low
     i0 = poset.index(x0)
-    down0 = poset.down_mask(x0)
+    n = values[i0]
+    down0 = down[i0]
     union_small = 0
-    for x in poset.elements:
-        if values[x] <= n and poset.index(x) != i0:
-            union_small |= poset.down_mask(x)
+    for i, v in enumerate(values):
+        if v <= n and i != i0:
+            union_small |= down[i]
     union_below = 0
     for j in _bits(down0 & ~(1 << i0)):
-        union_below |= poset._down[j]
+        union_below |= down[j]
     return (down0 & union_small) == union_below

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylord
+import weylord.oracle
 from weylord.cli import main
 from weylord.grading import SigmaDescriptor, full_profile
 from weylord.ext import Scenario, ext1_verdict
@@ -152,6 +158,34 @@ def test_ext_higher_degree(gl4_file, tmp_path, capsys):
 def test_verify_quick(capsys):
     assert main(["verify", "--types", "A1,A1xA1"]) == 0
     assert "agree" in capsys.readouterr().out
+    assert main(["verify", "--types", "A1,A4", "--max-rank", "1"]) == 0
+    assert capsys.readouterr().out == "all 4 cases agree\n"
+
+
+def test_verify_max_rank_keeps_types_of_that_rank(monkeypatch, capsys):
+    # the selection only: the rank-4 sweep itself takes seconds
+    swept = []
+
+    def fake_sweep(cases):
+        swept.extend(c.label for c in cases)
+        return []
+
+    monkeypatch.setattr(weylord.oracle, "sweep", fake_sweep)
+    assert main(["verify", "--types", "A4,D4", "--max-rank", "4"]) == 0
+    assert swept == ["A4(simply_connected)", "D4(simply_connected)"]
+    assert "no cases selected" not in capsys.readouterr().out
+    assert main(["verify", "--types", "A4,D4", "--max-rank", "3"]) == 0
+    assert capsys.readouterr().out == "no cases selected\n"
+    # an unknown type is an error with or without a rank bound
+    assert main(["verify", "--types", "X9", "--max-rank", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_import_leaves_the_oracle_out():
+    src = Path(weylord.__file__).resolve().parents[1]
+    code = "import sys, weylord.cli; sys.exit('weylord.oracle' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_exit_codes(datum_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from weylord import preset_datum, weyl_group
 from weylord.oracle import (
     SweepCase,
+    _bruhat_covers,
     _case_checks,
     brute_bruhat,
     brute_double_reps,
@@ -69,6 +71,11 @@ def test_default_cases():
     assert any("d=2,2" in l for l in labels)
     ranked = default_cases(max_rank=2)
     assert all("3" not in c.dynkin for c in ranked)
+    # the rank comes from the datum, so types outside the default list count too
+    assert [c.label for c in default_cases(types=("A4", "D4", "B5"), max_rank=4)] == [
+        "A4(simply_connected)",
+        "D4(simply_connected)",
+    ]
 
 
 def test_sweep_small():
@@ -107,3 +114,60 @@ def test_case_checks_catch_a_wrong_right_multiplication_entry():
     W._right[s1.index] = tuple(row)
     found = _case_checks(W, random.Random(1))
     assert found == ["right multiplication table of a1 disagrees at a2"]
+
+
+@pytest.mark.parametrize("dynkin, count", [("A3", 58), ("B3", 138)])
+def test_bruhat_covers_are_the_cover_relations(dynkin, count):
+    W = weyl_group(preset_datum(dynkin))
+    covers = _bruhat_covers(W)
+    # u < w with no element strictly between them
+    expected = {
+        (u, w)
+        for w in W
+        for u in W
+        if u != w
+        and W.bruhat_leq(u, w)
+        and not any(u != z != w and W.bruhat_leq(u, z) and W.bruhat_leq(z, w) for z in W)
+    }
+    assert set(covers) == expected
+    assert len(covers) == count
+    assert all(w.length == u.length + 1 for u, w in covers)
+
+
+def _order_preserving(W, image, pairs) -> bool:
+    elems = W.elements
+    return all(W.bruhat_leq(elems[image[u.index]], elems[image[w.index]]) for u, w in pairs)
+
+
+def test_order_preservation_on_covers_decides_it_on_all_pairs():
+    W = weyl_group(preset_datum("A3"))
+    covers = _bruhat_covers(W)
+    comparable = [(u, w) for w in W for u in W if W.bruhat_leq(u, w)]
+    subsets = [W.datum.subset(c) for k in range(4) for c in itertools.combinations(W.datum.labels, k)]
+    maps = set()
+    for I in subsets:
+        proj1 = [W.coset_decompose(I, w)[1] for w in W]
+        maps.add(tuple(x.index for x in proj1))
+        for J in subsets:
+            maps.add(tuple(W.double_decompose(I, J, x)[0].index for x in proj1))
+    rng = random.Random(13)
+    outcomes = []
+    for image in sorted(maps):
+        tested = [image]
+        for _ in range(4):
+            moved = list(image)
+            x = rng.randrange(len(W))
+            if rng.random() < 0.5:
+                moved[x] = rng.randrange(len(W))
+            else:
+                # a small move: one step up or down in Bruhat order
+                target = W.elements[moved[x]]
+                near = [u.index for u, w in covers if w == target]
+                near += [w.index for u, w in covers if u == target]
+                moved[x] = rng.choice(near)
+            tested.append(tuple(moved))
+        for f in tested:
+            on_covers = _order_preserving(W, f, covers)
+            assert on_covers == _order_preserving(W, f, comparable)
+            outcomes.append(on_covers)
+    assert len(maps) > 16 and outcomes.count(True) > len(maps) and False in outcomes

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -106,6 +107,67 @@ def test_lin_identity_requires_strict_monotonicity():
     P = FinitePoset.from_pairs(["a", "b"], {("a", "b")})
     with pytest.raises(DomainError, match="strictly monotonic"):
         check_lin_identity(P, lambda x: 0, "b")
+
+
+def _lin_identity_reference(poset, length, x0) -> bool:
+    """`check_lin_identity` written over all pairs through `FinitePoset.leq`."""
+    values = {x: length(x) for x in poset.elements}
+    for x in poset.elements:
+        for y in poset.elements:
+            if x != y and poset.leq(x, y) and not values[x] < values[y]:
+                raise DomainError("length function is not strictly monotonic")
+    n = values[x0]
+    down0 = poset.down_mask(x0)
+    union_small = 0
+    for x in poset.elements:
+        if values[x] <= n and x != x0:
+            union_small |= poset.down_mask(x)
+    union_below = 0
+    for x in poset.elements:
+        if x != x0 and poset.leq(x, x0):
+            union_below |= poset.down_mask(x)
+    return (down0 & union_small) == union_below
+
+
+def _random_poset(rng):
+    n = rng.randint(1, 9)
+    p = rng.choice((0.1, 0.3, 0.6))
+    below = [{a for a in range(b) if rng.random() < p} for b in range(n)]
+    for b in range(n):  # transitive closure; every a in below[b] has a < b
+        for a in sorted(below[b], reverse=True):
+            below[b] |= below[a]
+    names = rng.sample("abcdefghijkl", n)
+    pairs = {(names[a], names[b]) for b in range(n) for a in below[b]}
+    return FinitePoset.from_pairs(names, pairs)
+
+
+def _outcome(check, poset, length, x0):
+    try:
+        return check(poset, length, x0)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_lin_identity_matches_the_all_pairs_reference():
+    rng = random.Random(2024)
+    outcomes = []
+    for _ in range(300):
+        P = _random_poset(rng)
+        size = {x: bin(P.down_mask(x)).count("1") for x in P.elements}
+        kind = rng.randrange(4)
+        if kind == 0:  # arbitrary: mostly not monotonic
+            values = {x: rng.randrange(4) for x in P.elements}
+        elif kind == 1:  # strictly monotonic with ties and gaps
+            values = {x: 3 * size[x] + rng.randrange(3) for x in P.elements}
+        elif kind == 2:  # nearly monotonic: breaks now and then
+            values = {x: size[x] + rng.randrange(-1, 2) for x in P.elements}
+        else:  # partially ordered values: the lower set itself
+            values = {x: frozenset(principal_lower_set(P, x).members()) for x in P.elements}
+        for x0 in P.elements:
+            got = _outcome(check_lin_identity, P, values.__getitem__, x0)
+            assert got == _outcome(_lin_identity_reference, P, values.__getitem__, x0)
+            outcomes.append(got)
+    assert True in outcomes and "length function is not strictly monotonic" in outcomes
 
 
 def test_poset_membership_errors(a2_poset):
