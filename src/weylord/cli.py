@@ -307,9 +307,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

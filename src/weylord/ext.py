@@ -5,14 +5,18 @@ residue characteristic (only through p = 2 or not), cuspidality flags for the
 inducing representations, the values of the central character on the coroots
 orthogonal to the Levi, and user-asserted isomorphism relations between
 sigma' and the twisted conjugates of sigma.  The engine validates the
-declared relations against the central-character constraints and then walks a
-fixed decision tree; the first matching branch wins and unknown relation
-values can only produce the weaker verdicts.
+declared relations against the central-character constraints and then walks
+an ordered rule table, `_EXT1_RULES` for Ext^1 and `_EXTN_RULES` for the
+higher degrees.  Each row pairs a guard with a verdict, the first row whose
+guard holds gives the verdict, and unknown relation values can only produce
+the weaker verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .errors import DomainError
 from .grading import SigmaDescriptor
@@ -29,7 +33,9 @@ COND_EMERTON = (
     "Emerton's conjecture that derived ordinary parts compute the derived functors"
 )
 
-# rule identifiers; the README carries the table mapping them to their content
+# rule identifiers, one per row of the rule tables except CITE_ZCNX_P2,
+# CITE_TOP_DEGREE_BOUND and CITE_NO_RULE, which label several rows; the README
+# carries the table mapping them to their content
 CITE_INCOMPARABLE_ZERO = "incomparable-cuspidal-vanishing"
 CITE_NO_RULE = "no-applicable-rule"
 CITE_LARGE_FIELD = "large-field-levi-isomorphism"
@@ -143,6 +149,17 @@ class Scenario:
     def perp1(self) -> frozenset:
         return self.datum.perp(self.I)[1]
 
+    @cached_property
+    def _zcnx(self) -> bool:
+        """The split-connected-centre hypotheses; split data have perp == perp1."""
+        return (
+            self.I == self.J
+            and self.sigma.supersingular
+            and self.sigma_prime.supersingular
+            and self.datum.split
+            and self.datum.isogeny_flags().center_connected
+        )
+
 
 def lemma_gen_solvable(datum: RootDatum, I, alpha: int) -> bool:
     """Existence of a cocharacter separating one orthogonal twist from the others.
@@ -214,156 +231,131 @@ def check_consistency(sc: Scenario) -> list[Violation]:
     return out
 
 
-def _levi_desc(datum, subsets, pattern) -> str:
-    parts = {k: " ".join(datum.label_list(v)) or "-" for k, v in subsets.items()}
-    return pattern.format(**parts)
+# Induction descriptions shared by several rules.
+_ISO_LEVI = "induction identifies Ext^1_{{L[{I}]}}(sigma', sigma) with Ext^1_G"
+_ISO_RIGHT = "induction identifies Ext^1_{{L[{I}]}}(Ind along P[{J}]^- of sigma', sigma) with Ext^1_G"
+_ISO_LEFT = "induction identifies Ext^1_{{L[{J}]}}(sigma', Ind along P[{I}]^- of sigma) with Ext^1_G"
+_LEVI_VANISHES = ("Ext^{n} over the Levi between sigma' and sigma vanishes",)
+
+
+class _Rule(NamedTuple):
+    """One row of a rule table: the verdict given when `guard(scenario, n)` holds.
+
+    `description` and `side_facts` are formatted with the degree n and the
+    labels of I and J ("-" for none); `value` is a constant or a count.
+    """
+
+    citation: str
+    guard: Callable[[Scenario, int], bool]
+    kind: str
+    description: str
+    value: int | Callable[[Scenario], int] | None = None
+    conditional_on: tuple[str, ...] = ()
+    side_facts: tuple[str, ...] = ()
+
+
+def _twists(sc: Scenario, *values: str) -> int:
+    """Number of orthogonal simple roots whose twist relation is one of `values`."""
+    return sum(1 for a in sc.perp1 if sc.twist(a) in values)
+
+
+def _open_matches(sc: Scenario) -> int:
+    """Twisted matches that the declared relations do not exclude."""
+    return _twists(sc, "yes", "unknown")
+
+
+def _line(sc: Scenario) -> bool:
+    """Split-connected-centre hypotheses and a twisted match that is not sigma itself."""
+    return sc._zcnx and _twists(sc, "yes") > 0 and sc.rel_id == "no"
+
+
+def _comparable(sc: Scenario) -> bool:
+    return sc.I <= sc.J or sc.J <= sc.I
+
+
+def _supercuspidal_pair(sc: Scenario) -> bool:
+    return sc.sigma.supercuspidal and sc.sigma_prime.supercuspidal
+
+
+# Ext^1, in the order the rules are tried; the guards read n = 1.
+_EXT1_RULES = (
+    _Rule(CITE_INCOMPARABLE_ZERO,
+          lambda sc, n: not _comparable(sc) and sc.conjecture_assumed
+          and sc.sigma.right_cuspidal and sc.sigma_prime.left_cuspidal,
+          "Zero", "no extensions between the two induced representations", 0,
+          conditional_on=(COND_GRADED_CONJ,)),
+    _Rule(CITE_NO_RULE, lambda sc, n: not _comparable(sc),
+          "Inconclusive", "incomparable parabolics need cuspidality flags and the degree-one conjecture"),
+    _Rule(CITE_LARGE_FIELD, lambda sc, n: sc.e > 1 and sc.I == sc.J, "Iso", _ISO_LEVI),
+    _Rule(CITE_LARGE_FIELD_RIGHT, lambda sc, n: sc.e > 1 and sc.J < sc.I, "Iso", _ISO_RIGHT),
+    _Rule(CITE_LARGE_FIELD_LEFT, lambda sc, n: sc.e > 1, "Iso", _ISO_LEFT),
+    _Rule(CITE_QP_RIGHT, lambda sc, n: sc.J < sc.I and sc.sigma.right_cuspidal, "Iso", _ISO_RIGHT),
+    _Rule(CITE_QP_LEFT, lambda sc, n: sc.I < sc.J and sc.sigma_prime.left_cuspidal, "Iso", _ISO_LEFT),
+    _Rule(CITE_ZCNX_DIM1, lambda sc, n: _line(sc),
+          "ExactDim", "the space of extensions between the induced representations is a line", 1,
+          side_facts=_LEVI_VANISHES),
+    _Rule(CITE_ZCNX_ISO,
+          lambda sc, n: sc._zcnx and ((sc.rel_id == "yes" and not sc.p_is_2) or _open_matches(sc) == 0),
+          "Iso", _ISO_LEVI),
+    _Rule(CITE_ZCNX_P2, lambda sc, n: sc._zcnx and sc.p_is_2 and _twists(sc, "unknown") == 0,
+          "ExactCokernel", "the cokernel of induction on Ext^1 counts conjugate identifications",
+          lambda sc: _twists(sc, "yes")),
+    _Rule(CITE_ZCNX_P2, lambda sc, n: sc._zcnx and sc.p_is_2,
+          "UpperBoundCokernel", "unknown relations leave only an upper bound for the cokernel of induction",
+          _open_matches),
+    _Rule(CITE_SUPERCUSP_ISO, lambda sc, n: sc.I == sc.J and _supercuspidal_pair(sc) and _open_matches(sc) == 0,
+          "Iso", _ISO_LEVI),
+    _Rule(CITE_CUSP_BOUND,
+          lambda sc, n: sc.I == sc.J and (sc.sigma.right_cuspidal or sc.sigma_prime.left_cuspidal),
+          "UpperBoundCokernel",
+          "induction embeds the Levi extensions with cokernel bounded by the twisted matches", _open_matches),
+    _Rule(CITE_NO_RULE, lambda sc, n: True,
+          "Inconclusive", "declared flags and relations select no branch of the decision tree"),
+)
+
+# Ext^n for one parabolic (I = J), in the order the rules are tried.
+_EXTN_RULES = (
+    _Rule(CITE_FULL_FAITHFUL, lambda sc, n: n == 0, "Iso", "parabolic induction is fully faithful"),
+    _Rule(CITE_LOW_DEGREE, lambda sc, n: n < sc.e,
+          "Iso", "induction is an isomorphism on Ext^{n} below the field degree",
+          conditional_on=(COND_EMERTON,)),
+    _Rule(CITE_TOP_DEGREE_DIM1, lambda sc, n: n == sc.e and _line(sc),
+          "ExactDim", "the space Ext^{n} between the induced representations is a line", 1,
+          conditional_on=(COND_EMERTON,), side_facts=_LEVI_VANISHES),
+    _Rule(CITE_TOP_DEGREE_BOUND, lambda sc, n: n == sc.e and _supercuspidal_pair(sc) and _open_matches(sc) == 0,
+          "Iso", "no twisted matches: induction is an isomorphism on Ext^{n}",
+          conditional_on=(COND_EMERTON,)),
+    _Rule(CITE_TOP_DEGREE_BOUND, lambda sc, n: n == sc.e and _supercuspidal_pair(sc),
+          "UpperBoundCokernel", "induction embeds Ext^{n} with cokernel bounded by the twisted matches",
+          _open_matches, conditional_on=(COND_EMERTON,)),
+    _Rule(CITE_NO_RULE, lambda sc, n: n == sc.e,
+          "Inconclusive", "the top-degree rules need supercuspidal flags"),
+    _Rule(CITE_NO_RULE, lambda sc, n: True, "Inconclusive", "no rule applies above the field degree"),
+)
+
+
+def _first_verdict(rules, sc: Scenario, n: int) -> ExtVerdict:
+    """The verdict of the first rule whose guard holds; each table ends in a rule that always holds."""
+    rule = next(r for r in rules if r.guard(sc, n))
+    labels = {k: " ".join(sc.datum.label_list(v)) or "-" for k, v in (("I", sc.I), ("J", sc.J))}
+    return ExtVerdict(
+        rule.kind,
+        value=rule.value(sc) if callable(rule.value) else rule.value,
+        description=rule.description.format(n=n, **labels),
+        conditional_on=rule.conditional_on,
+        citations=(rule.citation,),
+        side_facts=tuple(fact.format(n=n) for fact in rule.side_facts),
+    )
 
 
 def ext1_verdict(sc: Scenario) -> ExtVerdict:
-    """Walk the decision tree; raises on an inconsistent scenario."""
+    """Walk the Ext^1 rule table; raises on an inconsistent scenario."""
     violations = check_consistency(sc)
     if violations:
         raise DomainError(
             "inconsistent scenario: " + "; ".join(v.message for v in violations)
         )
-    datum = sc.datum
-    I, J = sc.I, sc.J
-
-    if not (I <= J or J <= I):
-        if sc.sigma.right_cuspidal and sc.sigma_prime.left_cuspidal and sc.conjecture_assumed:
-            return ExtVerdict(
-                "Zero",
-                value=0,
-                description="no extensions between the two induced representations",
-                conditional_on=(COND_GRADED_CONJ,),
-                citations=(CITE_INCOMPARABLE_ZERO,),
-            )
-        return ExtVerdict(
-            "Inconclusive",
-            description="incomparable parabolics need cuspidality flags and the degree-one conjecture",
-            citations=(CITE_NO_RULE,),
-        )
-
-    if sc.e > 1:
-        if I == J:
-            return ExtVerdict(
-                "Iso",
-                description=_levi_desc(
-                    datum, {"I": I}, "induction identifies Ext^1_{{L[{I}]}}(sigma', sigma) with Ext^1_G"
-                ),
-                citations=(CITE_LARGE_FIELD,),
-            )
-        if J < I:
-            return ExtVerdict(
-                "Iso",
-                description=_levi_desc(
-                    datum,
-                    {"I": I, "J": J},
-                    "induction identifies Ext^1_{{L[{I}]}}(Ind along P[{J}]^- of sigma', sigma) with Ext^1_G",
-                ),
-                citations=(CITE_LARGE_FIELD_RIGHT,),
-            )
-        return ExtVerdict(
-            "Iso",
-            description=_levi_desc(
-                datum,
-                {"I": I, "J": J},
-                "induction identifies Ext^1_{{L[{J}]}}(sigma', Ind along P[{I}]^- of sigma) with Ext^1_G",
-            ),
-            citations=(CITE_LARGE_FIELD_LEFT,),
-        )
-
-    if J < I and sc.sigma.right_cuspidal:
-        return ExtVerdict(
-            "Iso",
-            description=_levi_desc(
-                datum,
-                {"I": I, "J": J},
-                "induction identifies Ext^1_{{L[{I}]}}(Ind along P[{J}]^- of sigma', sigma) with Ext^1_G",
-            ),
-            citations=(CITE_QP_RIGHT,),
-        )
-    if I < J and sc.sigma_prime.left_cuspidal:
-        return ExtVerdict(
-            "Iso",
-            description=_levi_desc(
-                datum,
-                {"I": I, "J": J},
-                "induction identifies Ext^1_{{L[{J}]}}(sigma', Ind along P[{I}]^- of sigma) with Ext^1_G",
-            ),
-            citations=(CITE_QP_LEFT,),
-        )
-
-    if I == J:
-        perp = sc.perp
-        perp1 = sc.perp1
-        if (
-            datum.split
-            and datum.isogeny_flags().center_connected
-            and sc.sigma.supersingular
-            and sc.sigma_prime.supersingular
-        ):
-            # split data have all multiplicities 1, so perp == perp1 here
-            if any(sc.twist(a) == "yes" for a in perp) and sc.rel_id == "no":
-                return ExtVerdict(
-                    "ExactDim",
-                    value=1,
-                    description="the space of extensions between the induced representations is a line",
-                    citations=(CITE_ZCNX_DIM1,),
-                    side_facts=("Ext^1 over the Levi between sigma' and sigma vanishes",),
-                )
-            if (sc.rel_id == "yes" and not sc.p_is_2) or all(
-                sc.twist(a) == "no" for a in perp
-            ):
-                return ExtVerdict(
-                    "Iso",
-                    description=_levi_desc(
-                        datum, {"I": I}, "induction identifies Ext^1_{{L[{I}]}}(sigma', sigma) with Ext^1_G"
-                    ),
-                    citations=(CITE_ZCNX_ISO,),
-                )
-            if sc.p_is_2:
-                if all(sc.twist(a) != "unknown" for a in perp):
-                    count = sum(1 for a in perp if sc.twist(a) == "yes")
-                    return ExtVerdict(
-                        "ExactCokernel",
-                        value=count,
-                        description="the cokernel of induction on Ext^1 counts conjugate identifications",
-                        citations=(CITE_ZCNX_P2,),
-                    )
-                count = sum(1 for a in perp if sc.twist(a) != "no")
-                return ExtVerdict(
-                    "UpperBoundCokernel",
-                    value=count,
-                    description="unknown relations leave only an upper bound for the cokernel of induction",
-                    citations=(CITE_ZCNX_P2,),
-                )
-        if (
-            sc.sigma.supercuspidal
-            and sc.sigma_prime.supercuspidal
-            and all(sc.twist(a) == "no" for a in perp1)
-        ):
-            return ExtVerdict(
-                "Iso",
-                description=_levi_desc(
-                    datum, {"I": I}, "induction identifies Ext^1_{{L[{I}]}}(sigma', sigma) with Ext^1_G"
-                ),
-                citations=(CITE_SUPERCUSP_ISO,),
-            )
-        if sc.sigma.right_cuspidal or sc.sigma_prime.left_cuspidal:
-            count = sum(1 for a in perp1 if sc.twist(a) != "no")
-            return ExtVerdict(
-                "UpperBoundCokernel",
-                value=count,
-                description="induction embeds the Levi extensions with cokernel bounded by the twisted matches",
-                citations=(CITE_CUSP_BOUND,),
-            )
-
-    return ExtVerdict(
-        "Inconclusive",
-        description="declared flags and relations select no branch of the decision tree",
-        citations=(CITE_NO_RULE,),
-    )
+    return _first_verdict(_EXT1_RULES, sc, 1)
 
 
 def extn_mode(sc: Scenario, n: int) -> ExtVerdict:
@@ -374,60 +366,4 @@ def extn_mode(sc: Scenario, n: int) -> ExtVerdict:
         raise DomainError("the higher-degree mode compares inductions from one parabolic")
     if n < 0:
         raise DomainError("the cohomological degree must be nonnegative")
-    datum = sc.datum
-    if n == 0:
-        return ExtVerdict(
-            "Iso",
-            description="parabolic induction is fully faithful",
-            citations=(CITE_FULL_FAITHFUL,),
-        )
-    if n < sc.e:
-        return ExtVerdict(
-            "Iso",
-            description=f"induction is an isomorphism on Ext^{n} below the field degree",
-            conditional_on=(COND_EMERTON,),
-            citations=(CITE_LOW_DEGREE,),
-        )
-    if n == sc.e:
-        if (
-            datum.split
-            and datum.isogeny_flags().center_connected
-            and sc.sigma.supersingular
-            and sc.sigma_prime.supersingular
-            and any(sc.twist(a) == "yes" for a in sc.perp)
-            and sc.rel_id == "no"
-        ):
-            return ExtVerdict(
-                "ExactDim",
-                value=1,
-                description=f"the space Ext^{n} between the induced representations is a line",
-                conditional_on=(COND_EMERTON,),
-                citations=(CITE_TOP_DEGREE_DIM1,),
-                side_facts=(f"Ext^{n} over the Levi between sigma' and sigma vanishes",),
-            )
-        if sc.sigma.supercuspidal and sc.sigma_prime.supercuspidal:
-            count = sum(1 for a in sc.perp1 if sc.twist(a) != "no")
-            if count == 0:
-                return ExtVerdict(
-                    "Iso",
-                    description=f"no twisted matches: induction is an isomorphism on Ext^{n}",
-                    conditional_on=(COND_EMERTON,),
-                    citations=(CITE_TOP_DEGREE_BOUND,),
-                )
-            return ExtVerdict(
-                "UpperBoundCokernel",
-                value=count,
-                description=f"induction embeds Ext^{n} with cokernel bounded by the twisted matches",
-                conditional_on=(COND_EMERTON,),
-                citations=(CITE_TOP_DEGREE_BOUND,),
-            )
-        return ExtVerdict(
-            "Inconclusive",
-            description="the top-degree rules need supercuspidal flags",
-            citations=(CITE_NO_RULE,),
-        )
-    return ExtVerdict(
-        "Inconclusive",
-        description="no rule applies above the field degree",
-        citations=(CITE_NO_RULE,),
-    )
+    return _first_verdict(_EXTN_RULES, sc, n)

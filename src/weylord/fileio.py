@@ -152,9 +152,19 @@ def load_datum_text(text: str) -> RootDatum:
     return build_datum(parse_kv(text))
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read as one raises InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_datum(path: str) -> RootDatum:
-    with open(path, encoding="utf-8") as fh:
-        return load_datum_text(fh.read())
+    return load_datum_text(_read_text(path))
 
 
 _SIGMA_KINDS = {
@@ -232,5 +242,4 @@ def load_scenario_text(text: str, datum: RootDatum) -> Scenario:
 
 
 def load_scenario(path: str, datum: RootDatum) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return load_scenario_text(fh.read(), datum)
+    return load_scenario_text(_read_text(path), datum)

@@ -117,10 +117,10 @@ class GradedTerm:
 
     def render(self, datum: RootDatum, strict: bool = False) -> str:
         if not self.survives:
-            return f"w={_word(self.conjugator)}: 0 ({self.status.reason})"
+            return f"w={self.conjugator}: 0 ({self.status.reason})"
         k = " ".join(datum.label_list(self.inducing))
         parab = " ".join(datum.label_list(self.inner_subset))
-        word = _word(self.conjugator)
+        word = str(self.conjugator)
         functor = "HOrd^" if self.side == ORD else "H_"
         vec = "[" + ",".join(str(c) for c in self.twist) + "]"
         text = (
@@ -131,10 +131,6 @@ class GradedTerm:
         if strict and tag == "conjectural":
             tag = "unknown"
         return f"w={word}: [{tag}] {text}"
-
-
-def _word(w: WeylElement) -> str:
-    return str(w)
 
 
 def _status_for_surviving(w, J, meet, n) -> TermStatus:

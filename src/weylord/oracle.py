@@ -306,7 +306,7 @@ def _left_checks(group: WeylGroup, I) -> list[str]:
     return out
 
 
-def _double_checks(group: WeylGroup, I, J, covers) -> list[str]:
+def _double_checks(group: WeylGroup, I, J, covers, proj1) -> list[str]:
     datum = group.datum
     lab = datum.label_list
     table = double_coset_table(group, I, J)
@@ -372,8 +372,8 @@ def _double_checks(group: WeylGroup, I, J, covers) -> list[str]:
     # by length, so any u <= w is joined by a chain of covers (chain property,
     # Bjorner-Brenti Thm 2.2.6); a map that preserves every cover therefore
     # preserves the whole order by transitivity.  `_case_checks` has already
-    # checked `bruhat_leq` against the subword oracle on all pairs.
-    proj1 = {w: group.coset_decompose(I, w)[1] for w in group.elements}
+    # checked `bruhat_leq` against the subword oracle on all pairs.  `proj1`
+    # sends w to x in w = w_I * x; it depends on I only.
     proj2 = {w: group.double_decompose(I, J, proj1[w])[0] for w in group.elements}
     for u, w in covers:
         if not group.bruhat_leq(proj1[u], proj1[w]):
@@ -530,11 +530,12 @@ def sweep(cases=None, e_values=(1, 2), seed: int = 20_240_001) -> list[OracleRep
         for I in _subsets(datum.num_simple):
             left_cache[I] = _left_checks(group, I)
         for I in _subsets(datum.num_simple):
+            proj1 = {w: group.coset_decompose(I, w)[1] for w in group.elements}
             for J in _subsets(datum.num_simple):
                 issues = list(case_issues)
                 issues += left_cache[I]
                 if not issues:
-                    issues += _double_checks(group, I, J, covers)
+                    issues += _double_checks(group, I, J, covers, proj1)
                 if not issues:
                     issues += _cross_section_checks(group, I, J)
                 if not issues:

@@ -29,10 +29,6 @@ class IsogenyFlags:
     fundamental_coweights_exist: bool
 
     @property
-    def derived_simply_connected(self) -> bool:
-        return self.fundamental_weights_exist
-
-    @property
     def center_connected(self) -> bool:
         return self.fundamental_coweights_exist
 
@@ -135,16 +131,9 @@ class RootDatum:
             tuple(dot(a, bv) for bv in self.simple_coroots) for a in self.simple_roots
         )
 
-    def pair(self, chi, lam) -> int:
-        return dot(chi, lam)
-
     def reflect_vector(self, i: int, v) -> Vector:
         """Simple reflection s_i acting on X*."""
         return vsub(v, vscale(dot(v, self.simple_coroots[i]), self.simple_roots[i]))
-
-    def coreflect_vector(self, i: int, lam) -> Vector:
-        """Simple reflection s_i acting on the cocharacter lattice."""
-        return vsub(lam, vscale(dot(self.simple_roots[i], lam), self.simple_coroots[i]))
 
     # -- root system -------------------------------------------------------
 
@@ -332,6 +321,20 @@ def _gl_block(n: int):
     return roots, [r for r in roots]
 
 
+def _simple_root_options(s: int, multiplicity, labels, split) -> dict:
+    """Multiplicity, labels and split of a datum with s simple roots, defaults filled in.
+
+    The defaults are multiplicity 1, labels a1, a2, ... and split exactly
+    when every multiplicity is 1.
+    """
+    multiplicity = (1,) * s if multiplicity is None else tuple(int(m) for m in multiplicity)
+    if labels is None:
+        labels = [f"a{i + 1}" for i in range(s)]
+    if split is None:
+        split = all(m == 1 for m in multiplicity)
+    return {"multiplicity": multiplicity, "labels": tuple(labels), "split": bool(split)}
+
+
 def preset_datum(
     type_str: str,
     lattice: str = "simply_connected",
@@ -380,24 +383,12 @@ def preset_datum(
         for v in cb:
             simple_coroots.append((0,) * pad_l + v + (0,) * pad_r)
         offset += w
-    s = len(simple_roots)
-    if multiplicity is None:
-        multiplicity = (1,) * s
-    multiplicity = tuple(int(m) for m in multiplicity)
-    if labels is None:
-        labels = tuple(f"a{i + 1}" for i in range(s))
-    if split is None:
-        split = all(m == 1 for m in multiplicity)
-    if not name:
-        name = type_str
     return RootDatum(
         rank=rank,
         simple_roots=tuple(simple_roots),
         simple_coroots=tuple(simple_coroots),
-        multiplicity=multiplicity,
-        labels=tuple(labels),
-        split=bool(split),
-        name=name,
+        name=name or type_str,
+        **_simple_root_options(len(simple_roots), multiplicity, labels, split),
     )
 
 
@@ -412,22 +403,12 @@ def explicit_datum(
 ) -> RootDatum:
     simple_roots = tuple(tuple(int(c) for c in v) for v in simple_roots)
     simple_coroots = tuple(tuple(int(c) for c in v) for v in simple_coroots)
-    s = len(simple_roots)
-    if multiplicity is None:
-        multiplicity = (1,) * s
-    multiplicity = tuple(int(m) for m in multiplicity)
-    if labels is None:
-        labels = tuple(f"a{i + 1}" for i in range(s))
-    if split is None:
-        split = all(m == 1 for m in multiplicity)
     return RootDatum(
         rank=int(rank),
         simple_roots=simple_roots,
         simple_coroots=simple_coroots,
-        multiplicity=multiplicity,
-        labels=tuple(labels),
-        split=bool(split),
         name=name,
+        **_simple_root_options(len(simple_roots), multiplicity, labels, split),
     )
 
 
@@ -475,25 +456,15 @@ def build_datum(data: dict) -> RootDatum:
     data = dict(data)
     name = data.pop("name", "")
     if "type" in data:
-        type_str = data.pop("type")
-        lattice = data.pop("lattice", "simply_connected")
-        kwargs = {}
-        for key in ("multiplicity", "labels", "split"):
-            if key in data:
-                kwargs[key] = data.pop(key)
-        if data:
-            raise InputError(f"unknown keys in datum description: {sorted(data)}")
-        return preset_datum(type_str, lattice, name=name, **kwargs)
-    try:
-        rank = data.pop("rank")
-        simple_roots = data.pop("simple_roots")
-        simple_coroots = data.pop("simple_coroots")
-    except KeyError as exc:
-        raise InputError(f"datum description is missing required key {exc.args[0]!r}") from None
-    kwargs = {}
-    for key in ("multiplicity", "labels", "split"):
-        if key in data:
-            kwargs[key] = data.pop(key)
+        make = preset_datum
+        args = [data.pop("type"), data.pop("lattice", "simply_connected")]
+    else:
+        make = explicit_datum
+        try:
+            args = [data.pop(k) for k in ("rank", "simple_roots", "simple_coroots")]
+        except KeyError as exc:
+            raise InputError(f"datum description is missing required key {exc.args[0]!r}") from None
+    options = {k: data.pop(k) for k in ("multiplicity", "labels", "split") if k in data}
     if data:
         raise InputError(f"unknown keys in datum description: {sorted(data)}")
-    return explicit_datum(rank, simple_roots, simple_coroots, name=name, **kwargs)
+    return make(*args, name=name, **options)

@@ -90,12 +90,6 @@ class WeylElement:
             v = self.group.datum.reflect_vector(g, v)
         return v
 
-    def apply_co(self, lam):
-        """Image of a cocharacter-lattice vector."""
-        for g in reversed(self.word):
-            lam = self.group.datum.coreflect_vector(g, lam)
-        return lam
-
     def __str__(self):
         return self.group.word_str(self)
 
@@ -233,9 +227,6 @@ class WeylGroup:
         return self.from_word(gens)
 
     # -- roots and inversions ------------------------------------------------
-
-    def act_root(self, w: WeylElement, r: int) -> int:
-        return w.perm[r]
 
     def inversions(self, w: WeylElement) -> tuple[int, ...]:
         """Positive-root indices sent to negative roots."""
@@ -589,7 +580,6 @@ class OppositionMap:
     iw0: WeylElement
     rep_map: dict
     fiber_maps: dict
-    meets: dict
     meets_prime: dict
 
 
@@ -605,7 +595,6 @@ def opposition_map(group: WeylGroup, I, J) -> OppositionMap:
     w_j0 = group.longest_in(J)
     rep_map = {}
     fiber_maps = {}
-    meets = {}
     meets_prime = {}
     for entry in src.entries:
         w = entry.rep
@@ -614,7 +603,6 @@ def opposition_map(group: WeylGroup, I, J) -> OppositionMap:
         if image.index not in tgt:
             raise DomainError("opposition image is not a double-coset representative")
         rep_map[w] = image
-        meets[w] = entry.meet
         meets_prime[w] = group.image_subset(image, J, I_prime)
         inv_k = group.inv(k_wj0)
         fiber_maps[w] = {v: group.mul(inv_k, v) for v in entry.fiber}
@@ -625,6 +613,5 @@ def opposition_map(group: WeylGroup, I, J) -> OppositionMap:
         iw0=iw0,
         rep_map=rep_map,
         fiber_maps=fiber_maps,
-        meets=meets,
         meets_prime=meets_prime,
     )

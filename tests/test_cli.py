@@ -241,3 +241,26 @@ def test_malformed_values_end_in_an_input_error(tmp_path, capsys, datum_text, sc
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("error:") and message in err[-1]
+
+
+@pytest.mark.parametrize("kind", ["datum_is_directory", "datum_not_utf8", "scenario_is_directory", "missing_file"])
+def test_unreadable_files_end_in_an_error_line(tmp_path, kind):
+    datum = tmp_path / "gl4.txt"
+    datum.write_text(GL4)
+    argv = ["info", str(tmp_path)]
+    if kind == "datum_not_utf8":
+        datum.write_bytes(b'name = "GL4\xff"\ntype = "A3"\n')
+        argv = ["info", str(datum)]
+    elif kind == "scenario_is_directory":
+        argv = ["ext", str(datum), "--scenario", str(tmp_path)]
+    elif kind == "missing_file":
+        argv = ["info", str(tmp_path / "missing.txt")]
+    src = Path(weylord.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-m", "weylord.cli", *argv], env=env, capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    last = run.stderr.strip().splitlines()[-1]
+    assert last.startswith("error:")
+    if kind == "missing_file":
+        assert "No such file or directory" in last

@@ -126,6 +126,25 @@ def test_scenario_validation(gl4):
 # -- the decision tree -----------------------------------------------------------
 
 
+LEVI_A1 = "induction identifies Ext^1_{L[a1]}(sigma', sigma) with Ext^1_G"
+RIGHT_A12 = "induction identifies Ext^1_{L[a1 a2]}(Ind along P[a1]^- of sigma', sigma) with Ext^1_G"
+LEFT_A12 = "induction identifies Ext^1_{L[a1 a2]}(sigma', Ind along P[a1]^- of sigma) with Ext^1_G"
+GRADED_CONJ = "graded-pieces conjecture in degree 1 at the identity double-coset representative"
+EMERTON = "Emerton's conjecture that derived ordinary parts compute the derived functors"
+
+
+def expect(kind, citation, description, value=None, conditional_on=(), side_facts=()):
+    """A verdict as `ExtVerdict.to_dict()` renders it."""
+    return {
+        "kind": kind,
+        "value": value,
+        "description": description,
+        "conditional_on": list(conditional_on),
+        "citations": [citation],
+        "side_facts": list(side_facts),
+    }
+
+
 def fixture_scenarios():
     """Scenario table covering every branch and all split-centre cases."""
     a2 = preset_datum("A2", name="A2sc")
@@ -134,85 +153,164 @@ def fixture_scenarios():
     I1 = gl4.subset(["a1"])
     I12 = gl4.subset(["a1", "a2"])
     a3 = gl4.labels.index("a3")
+    line = "the space of extensions between the induced representations is a line"
+    bound = "induction embeds the Levi extensions with cokernel bounded by the twisted matches"
     rows = []
     # incomparable parabolics: conditional vanishing, then no verdict
     rows.append((
         Scenario(a2, a2.subset(["a1"]), a2.subset(["a2"]), sigma=SS, sigma_prime=SS,
                  conjecture_assumed=True),
-        "Zero", 0, True,
+        expect("Zero", "incomparable-cuspidal-vanishing",
+               "no extensions between the two induced representations", 0, conditional_on=(GRADED_CONJ,)),
     ))
     rows.append((
         Scenario(a2, a2.subset(["a1"]), a2.subset(["a2"]), sigma=SS, sigma_prime=SS),
-        "Inconclusive", None, False,
+        expect("Inconclusive", "no-applicable-rule",
+               "incomparable parabolics need cuspidality flags and the degree-one conjecture"),
     ))
     # large base field: always reduces to the Levi
-    rows.append((Scenario(gl4, I1, I1, sigma=PLAIN, sigma_prime=PLAIN, e=2), "Iso", None, False))
-    rows.append((Scenario(gl4, I12, I1, sigma=PLAIN, sigma_prime=PLAIN, e=3), "Iso", None, False))
-    rows.append((Scenario(gl4, I1, I12, sigma=PLAIN, sigma_prime=PLAIN, e=2), "Iso", None, False))
+    rows.append((Scenario(gl4, I1, I1, sigma=PLAIN, sigma_prime=PLAIN, e=2),
+                 expect("Iso", "large-field-levi-isomorphism", LEVI_A1)))
+    rows.append((Scenario(gl4, I12, I1, sigma=PLAIN, sigma_prime=PLAIN, e=3),
+                 expect("Iso", "large-field-nested-right-isomorphism", RIGHT_A12)))
+    rows.append((Scenario(gl4, I1, I12, sigma=PLAIN, sigma_prime=PLAIN, e=2),
+                 expect("Iso", "large-field-nested-left-isomorphism", LEFT_A12)))
     # degree one, nested parabolics with a cuspidal side
-    rows.append((Scenario(gl4, I12, I1, sigma=RIGHT, sigma_prime=PLAIN), "Iso", None, False))
-    rows.append((Scenario(gl4, I1, I12, sigma=PLAIN, sigma_prime=LEFT), "Iso", None, False))
+    rows.append((Scenario(gl4, I12, I1, sigma=RIGHT, sigma_prime=PLAIN),
+                 expect("Iso", "degree-one-nested-right-cuspidal", RIGHT_A12)))
+    rows.append((Scenario(gl4, I1, I12, sigma=PLAIN, sigma_prime=LEFT),
+                 expect("Iso", "degree-one-nested-left-cuspidal", LEFT_A12)))
     # split with connected centre: the three equal-parabolic cases
     rows.append((
         Scenario(gl4, I1, I1, sigma=SS, sigma_prime=SS,
                  rel_twist={a3: "yes"}, rel_id="no", central_pairings={a3: "other"}),
-        "ExactDim", 1, False,
+        expect("ExactDim", "split-connected-centre-dimension-one", line, 1,
+               side_facts=("Ext^1 over the Levi between sigma' and sigma vanishes",)),
     ))
     rows.append((
         Scenario(gl4, I1, I1, sigma=SS, sigma_prime=SS, rel_id="yes",
                  central_pairings={a3: "omega_inverse"}, rel_twist={a3: "yes"}),
-        "Iso", None, False,
+        expect("Iso", "split-connected-centre-isomorphism", LEVI_A1),
     ))
     rows.append((
         Scenario(gl4, I1, I1, sigma=SS, sigma_prime=SS, rel_twist={a3: "no"}),
-        "Iso", None, False,
+        expect("Iso", "split-connected-centre-isomorphism", LEVI_A1),
     ))
     rows.append((
         Scenario(gl4, I1, I1, sigma=SS, sigma_prime=SS, p_is_2=True,
                  rel_twist={a3: "yes"}, rel_id="yes", central_pairings={a3: "one"}),
-        "ExactCokernel", 1, False,
+        expect("ExactCokernel", "split-connected-centre-p2-cokernel",
+               "the cokernel of induction on Ext^1 counts conjugate identifications", 1),
     ))
     rows.append((
         Scenario(gl4, I1, I1, sigma=SS, sigma_prime=SS, p_is_2=True),
-        "UpperBoundCokernel", 1, False,
+        expect("UpperBoundCokernel", "split-connected-centre-p2-cokernel",
+               "unknown relations leave only an upper bound for the cokernel of induction", 1),
     ))
     # supercuspidal away from the split-connected hypotheses
     rows.append((
         Scenario(sl2, frozenset(), frozenset(), sigma=BOTH, sigma_prime=BOTH,
                  rel_twist={0: "no"}),
-        "Iso", None, False,
+        expect("Iso", "supercuspidal-untwisted-isomorphism",
+               "induction identifies Ext^1_{L[-]}(sigma', sigma) with Ext^1_G"),
     ))
     # one-sided cuspidality only gives the cokernel bound
     rows.append((
         Scenario(gl4, I1, I1, sigma=RIGHT, sigma_prime=PLAIN,
                  rel_twist={a3: "unknown"}),
-        "UpperBoundCokernel", 1, False,
+        expect("UpperBoundCokernel", "cuspidal-cokernel-bound", bound, 1),
     ))
     rows.append((
         Scenario(gl4, I1, I1, sigma=SS, sigma_prime=SS, rel_twist={a3: "yes"}),
-        "UpperBoundCokernel", 1, False,
+        expect("UpperBoundCokernel", "cuspidal-cokernel-bound", bound, 1),
     ))
     # no flags at all
-    rows.append((Scenario(gl4, I1, I1, sigma=PLAIN, sigma_prime=PLAIN), "Inconclusive", None, False))
+    rows.append((
+        Scenario(gl4, I1, I1, sigma=PLAIN, sigma_prime=PLAIN),
+        expect("Inconclusive", "no-applicable-rule",
+               "declared flags and relations select no branch of the decision tree"),
+    ))
+    # connected centre but not split: the split-connected-centre rules stay silent
+    nonsplit = preset_datum("A2", "adjoint", multiplicity=(2, 2), name="nonsplit")
+    rows.append((
+        Scenario(nonsplit, frozenset(), frozenset(), sigma=SS, sigma_prime=SS),
+        expect("Iso", "supercuspidal-untwisted-isomorphism",
+               "induction identifies Ext^1_{L[-]}(sigma', sigma) with Ext^1_G"),
+    ))
     return rows
+
+
+def extn_fixture_scenarios():
+    """(scenario, degree, verdict) rows covering every higher-degree rule, the top degree n = e included."""
+    gl4 = preset_datum("A3", "gl", name="GL4")
+    I1 = gl4.subset(["a1"])
+    a3 = gl4.labels.index("a3")
+
+    def sc(sigma, e, **kw):
+        return Scenario(gl4, I1, I1, sigma=sigma, sigma_prime=sigma, e=e, emerton_conjecture_assumed=True, **kw)
+
+    line = "the space Ext^2 between the induced representations is a line"
+    vanishes = "Ext^2 over the Levi between sigma' and sigma vanishes"
+    iso = "no twisted matches: induction is an isomorphism on Ext^1"
+    bound = "induction embeds Ext^2 with cokernel bounded by the twisted matches"
+    return [
+        (sc(SS, 2), 0, expect("Iso", "full-faithfulness-degree-zero", "parabolic induction is fully faithful")),
+        (sc(SS, 2), 1, expect("Iso", "low-degree-isomorphism",
+                              "induction is an isomorphism on Ext^1 below the field degree",
+                              conditional_on=(EMERTON,))),
+        # top degree n = e
+        (sc(SS, 2, rel_twist={a3: "yes"}, rel_id="no", central_pairings={a3: "other"}), 2,
+         expect("ExactDim", "split-connected-centre-top-degree", line, 1,
+                conditional_on=(EMERTON,), side_facts=(vanishes,))),
+        (sc(BOTH, 1, rel_twist={a3: "no"}), 1,
+         expect("Iso", "top-degree-cokernel-bound", iso, conditional_on=(EMERTON,))),
+        (sc(BOTH, 2, rel_twist={a3: "unknown"}), 2,
+         expect("UpperBoundCokernel", "top-degree-cokernel-bound", bound, 1, conditional_on=(EMERTON,))),
+        (sc(RIGHT, 1), 1,
+         expect("Inconclusive", "no-applicable-rule", "the top-degree rules need supercuspidal flags")),
+        # above the field degree
+        (sc(SS, 1), 3, expect("Inconclusive", "no-applicable-rule", "no rule applies above the field degree")),
+    ]
 
 
 def test_fixture_table_has_full_branch_coverage():
     rows = fixture_scenarios()
     assert len(rows) >= 12
-    kinds = {kind for _, kind, _, _ in rows}
+    kinds = {expected["kind"] for _, expected in rows}
     assert kinds == {"Zero", "Inconclusive", "Iso", "ExactDim", "ExactCokernel", "UpperBoundCokernel"}
 
 
 @pytest.mark.parametrize("idx", range(len(fixture_scenarios())))
 def test_fixture_verdicts(idx):
-    scenario, kind, value, conditional = fixture_scenarios()[idx]
-    verdict = ext1_verdict(scenario)
-    assert verdict.kind == kind
-    if value is not None:
-        assert verdict.value == value
-    assert bool(verdict.conditional_on) == conditional
-    assert verdict.citations
+    scenario, expected = fixture_scenarios()[idx]
+    assert ext1_verdict(scenario).to_dict() == expected
+
+
+@pytest.mark.parametrize("idx", range(len(extn_fixture_scenarios())))
+def test_extn_fixture_verdicts(idx):
+    scenario, n, expected = extn_fixture_scenarios()[idx]
+    assert extn_mode(scenario, n).to_dict() == expected
+
+
+def test_every_rule_fires_first_on_a_fixture():
+    # rows are counted by index: some citations label more than one row
+    from weylord.ext import _EXT1_RULES, _EXTN_RULES
+
+    def first(rules, sc, n):
+        return next(i for i, rule in enumerate(rules) if rule.guard(sc, n))
+
+    fired = set()
+    for sc, expected in fixture_scenarios():
+        i = first(_EXT1_RULES, sc, 1)
+        assert [_EXT1_RULES[i].citation] == expected["citations"]
+        fired.add(i)
+    assert fired == set(range(len(_EXT1_RULES)))
+    fired = set()
+    for sc, n, expected in extn_fixture_scenarios():
+        i = first(_EXTN_RULES, sc, n)
+        assert [_EXTN_RULES[i].citation] == expected["citations"]
+        fired.add(i)
+    assert fired == set(range(len(_EXTN_RULES)))
 
 
 def test_full_levi_degenerate(gl4):

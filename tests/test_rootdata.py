@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from weylord import DomainError, InputError, build_datum, explicit_datum, preset_datum
-from weylord.intlinalg import dot
+from weylord.intlinalg import dot, vscale, vsub
 
 
 def test_gl_preset_coordinates(gl3):
@@ -96,7 +96,9 @@ def test_reflection_preserves_pairing():
         for g in range(dat.num_simple):
             for chi in basis:
                 for lam in basis:
-                    assert dot(dat.reflect_vector(g, chi), dat.coreflect_vector(g, lam)) == dot(chi, lam)
+                    # s_g on the cocharacter lattice: lam - <alpha_g, lam> alpha_g^vee
+                    co = vsub(lam, vscale(dot(dat.simple_roots[g], lam), dat.simple_coroots[g]))
+                    assert dot(dat.reflect_vector(g, chi), co) == dot(chi, lam)
 
 
 def test_multiplicity_weyl_invariance():
