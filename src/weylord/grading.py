@@ -22,6 +22,8 @@ from .intlinalg import vscale
 from .rootdata import RootDatum
 from .weyl import WeylElement, double_coset_table, weyl_group
 
+PROFILE_CAP = 10_000  # degrees one `full_profile` may cover
+
 ORD = "ord"
 JACQUET = "jacquet"
 
@@ -306,6 +308,8 @@ def full_profile(
     table = double_coset_table(group, I, J)
     d_max = max((entry.d for entry in table.entries), default=0)
     top = max(n_max, e * d_max)
+    if top + 1 > PROFILE_CAP:
+        raise DomainError(f"the profile covers {top + 1} degrees, over the cap of {PROFILE_CAP}")
     by_degree = _terms_by_degree(group, table, e, range(top + 1), sigma, side, sign, opposite)
     terms = {n: tuple(ts) for n, ts in by_degree.items()}
     report = GradingReport(

@@ -155,28 +155,43 @@ def lattice_ops(s1: LowerSet, s2: LowerSet) -> tuple[LowerSet, LowerSet]:
 def check_lin_identity(poset: FinitePoset, length, x0) -> bool:
     """Per-element splitting identity behind length filtrations.
 
-    `length` must be strictly monotonic.  For n = length(x0) the identity
-    states that the principal lower set of x0 meets the union of the lower
-    sets of the other elements of length <= n exactly in the union of the
-    lower sets of the elements strictly below x0.
+    `length` must be strictly monotonic, with hashable values.  For
+    n = length(x0) the identity states that the principal lower set of x0
+    meets the union of the lower sets of the other elements of length <= n
+    exactly in the union of the lower sets of the elements strictly below x0.
+    """
+    failures = _lin_identity_failures(poset, length)
+    return poset.index(x0) not in failures
+
+
+def _lin_identity_failures(poset: FinitePoset, length) -> tuple[int, ...]:
+    """Indices of every element at which `check_lin_identity` fails, in one pass.
+
+    Monotonicity is checked once.  By transitivity the lower sets strictly
+    below x0 join to the lower set of x0 without x0.  The lower sets are
+    folded per length value into the bits they cover at least once and at
+    least twice, and the folds joined over every value <= n.  The lower set
+    of x0 covers each of its own bits once, so the union over the other
+    elements of length <= n meets it exactly in the bits covered twice.  The
+    join costs the square of the number of distinct values, which for Bruhat
+    lengths is at most N + 1.
     """
     down = poset._down
     values = [length(x) for x in poset.elements]
     for i, v in enumerate(values):
-        below = down[i] & ~(1 << i)
-        while below:
-            low = below & -below
-            if not values[low.bit_length() - 1] < v:
-                raise DomainError("length function is not strictly monotonic")
-            below ^= low
-    i0 = poset.index(x0)
-    n = values[i0]
-    down0 = down[i0]
-    union_small = 0
-    for i, v in enumerate(values):
-        if v <= n and i != i0:
-            union_small |= down[i]
-    union_below = 0
-    for j in _bits(down0 & ~(1 << i0)):
-        union_below |= down[j]
-    return (down0 & union_small) == union_below
+        if any(not values[j] < v for j in _bits(down[i] & ~(1 << i))):
+            raise DomainError("length function is not strictly monotonic")
+    folds: dict = {}  # length value -> (bits covered once, bits covered twice)
+    for v, mask in zip(values, down):
+        once, twice = folds.get(v, (0, 0))
+        folds[v] = (once | mask, twice | once & mask)
+    twice_upto = {}
+    for n in folds:
+        once = twice = 0
+        for v, (o, t) in folds.items():
+            if v <= n:
+                once, twice = once | o, twice | t | once & o
+        twice_upto[n] = twice
+    return tuple(
+        i for i, (v, mask) in enumerate(zip(values, down)) if mask & twice_upto[v] != mask & ~(1 << i)
+    )

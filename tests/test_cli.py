@@ -116,6 +116,15 @@ def test_grading_profile_json_matches_library(gl4_file, capsys):
         assert [tuple(r["twist"]) for r in rows] == [t.twist for t in terms]
 
 
+@pytest.mark.parametrize("e, profile", [("1", "100000000"), ("100000000", "3")])
+def test_grading_profile_over_the_cap_is_an_error(datum_file, capsys, e, profile):
+    assert main(["grading", datum_file, "--I", "a1", "--J", "a1", "--e", e,
+                 "--sigma", "supersingular", "--profile", profile]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the profile covers ") and "over the cap" in captured.err
+
+
 def test_grading_jacquet_side(gl4_file, capsys):
     assert main(["grading", gl4_file, "--I", "a1", "--J", "a1", "--e", "1",
                  "--n", "1", "--sigma", "supersingular", "--side", "jacquet"]) == 0

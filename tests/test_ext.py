@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -353,24 +354,41 @@ def _random_scenario(rng, datum):
         rel_twist=rel_twist,
         rel_id=rng.choice(["yes", "no", "unknown"]) if same else "unknown",
         conjecture_assumed=rng.random() < 0.5,
+        emerton_conjecture_assumed=rng.random() < 0.5,
     )
+
+
+KINDS = ("ExactDim", "Iso", "UpperBoundCokernel", "ExactCokernel", "Zero", "Inconclusive")
 
 
 def test_branch_totality_randomised():
     rng = random.Random(7)
     data = [preset_datum(t, lat) for t in ("A1", "A2", "A3", "B2") for lat in ("simply_connected", "adjoint")]
     data.append(preset_datum("A3", "gl"))
-    decided = 0
+    decided = higher = refused = 0
     for _ in range(600):
         sc = _random_scenario(rng, rng.choice(data))
         if check_consistency(sc):
             continue
         v = ext1_verdict(sc)
-        assert v.kind in ("ExactDim", "Iso", "UpperBoundCokernel", "ExactCokernel", "Zero", "Inconclusive")
+        assert v.kind in KINDS
         assert v.citations
         assert ext1_verdict(sc) == v  # deterministic
         decided += 1
+        for n in range(sc.e + 2):
+            try:
+                vn = extn_mode(sc, n)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=re.escape(str(exc))):
+                    extn_mode(sc, n)
+                refused += 1
+                continue
+            assert vn.kind in KINDS
+            assert vn.citations
+            assert extn_mode(sc, n) == vn  # deterministic
+            higher += 1
     assert decided > 300
+    assert higher > 100 and refused > 100
 
 
 def _refinements(sc):
@@ -385,6 +403,7 @@ def _refinements(sc):
                         e=sc.e, p_is_2=sc.p_is_2, central_pairings=sc.central_pairings,
                         rel_twist={**sc.rel_twist, b: new}, rel_id=sc.rel_id,
                         conjecture_assumed=sc.conjecture_assumed,
+                        emerton_conjecture_assumed=sc.emerton_conjecture_assumed,
                     )
                 )
     if sc.rel_id == "unknown" and sc.I == sc.J:

@@ -13,7 +13,7 @@ from weylord import (
     surviving,
     weyl_group,
 )
-from weylord.grading import JACQUET, ORD, RULE_DEGREE_ZERO, RULE_LEVI_FORM
+from weylord.grading import JACQUET, ORD, PROFILE_CAP, RULE_DEGREE_ZERO, RULE_LEVI_FORM
 from weylord.intlinalg import vadd, vsub, vscale, zero_vector
 from weylord.weyl import double_coset_table, opposition_map
 
@@ -279,3 +279,12 @@ def test_profile_matches_graded_terms(type_str, lattice, multiplicity):
 def test_argument_checks_and_their_order(gl3, call, message):
     with pytest.raises(DomainError, match=message):
         call(gl3, gl3.subset(["a1"]))
+
+
+def test_profile_degree_count_is_capped(gl3):
+    I = gl3.subset(["a1"])
+    assert full_profile(gl3, I, I, 1, SS, n_max=PROFILE_CAP - 1).max_degree == PROFILE_CAP - 1
+    # a degree bound or a field degree past the cap: refused before any degree is built
+    for e, n_max in ((1, PROFILE_CAP), (1, 10**8), (10**8, 0)):
+        with pytest.raises(DomainError, match=f"over the cap of {PROFILE_CAP}"):
+            full_profile(gl3, I, I, e, SS, n_max=n_max)

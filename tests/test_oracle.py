@@ -8,15 +8,14 @@ from weylord.oracle import (
     SweepCase,
     _bruhat_covers,
     _case_checks,
-    brute_bruhat,
+    _order_reversal_failure,
     brute_double_reps,
     brute_min_reps,
     default_cases,
     naive_dw_delta,
-    random_reduced_word,
     sweep,
 )
-from weylord.weyl import WeylGroup
+from weylord.weyl import WeylGroup, opposition_map
 
 
 @pytest.fixture(scope="module")
@@ -38,26 +37,6 @@ def test_brute_double_reps(w_a2):
     assert {str(w) for w in brute_double_reps(w_a2, I, J)} == {"e", "a2 a1"}
     assert brute_double_reps(w_a2, frozenset(), frozenset()) == frozenset(w_a2.elements)
     assert frozenset(w_a2.double_coset_reps(I, J)) == brute_double_reps(w_a2, I, J)
-
-
-def test_random_reduced_word(w_a2):
-    rng = random.Random(3)
-    for w in w_a2:
-        for _ in range(4):
-            word = random_reduced_word(w_a2, w, rng)
-            assert len(word) == w.length
-            assert w_a2.from_word(word) == w
-
-
-def test_brute_bruhat_matches(w_a2):
-    rng = random.Random(5)
-    for u in w_a2:
-        assert brute_bruhat(w_a2, u, u, rng)
-        for w in w_a2:
-            assert brute_bruhat(w_a2, u, w, rng) == w_a2.bruhat_leq(u, w)
-            # antisymmetry
-            if u != w:
-                assert not (w_a2.bruhat_leq(u, w) and w_a2.bruhat_leq(w, u))
 
 
 def test_naive_dw_delta_matches(w_a2):
@@ -171,3 +150,114 @@ def test_order_preservation_on_covers_decides_it_on_all_pairs():
             assert on_covers == _order_preserving(W, f, comparable)
             outcomes.append(on_covers)
     assert len(maps) > 16 and outcomes.count(True) > len(maps) and False in outcomes
+
+
+def test_order_reversal_on_comparable_pairs_matches_all_pairs():
+    W = weyl_group(preset_datum("B3"))
+    rng = random.Random(17)
+    outcomes = []
+    for labels in ((), ("a1",), ("a2", "a3")):
+        I = W.datum.subset(labels)
+        mapping = opposition_map(W, I, frozenset()).rep_map
+        for trial in range(12):
+            f = dict(mapping)
+            if trial:  # exchange two images
+                u, v = rng.sample(list(f), 2)
+                f[u], f[v] = f[v], f[u]
+            all_pairs = all(W.bruhat_leq(f[v], f[u]) for u in f for v in f if W.bruhat_leq(u, v))
+            bad = _order_reversal_failure(W, f)
+            assert (bad is None) == all_pairs
+            if bad:
+                u, v = bad
+                assert W.bruhat_leq(u, v) and not W.bruhat_leq(f[v], f[u])
+            outcomes.append(all_pairs)
+    assert True in outcomes and False in outcomes
+
+
+# -- Bruhat order against the subword property ------------------------------------
+
+
+def _random_reduced_word(W, w, rng) -> list:
+    """A reduced word of w, peeling off a random left descent at each step."""
+    word = []
+    x = w
+    while x.length:
+        g = rng.choice([i for i in range(W.datum.num_simple) if W.mul(W.gen(i), x).length < x.length])
+        word.append(g)
+        x = W.mul(W.gen(g), x)
+    return word
+
+
+def _subword_disagreement(W, rng):
+    """The first (u, w) where `bruhat_leq` and the subword property disagree, or None.
+
+    The reference for the Bruhat-graph check of `_case_checks`: u <= w exactly
+    when u is the product of a subword of a reduced word of w (Bjorner-Brenti
+    Thm 2.2.2), here a random reduced word rather than the canonical one.
+    """
+    for w in W:
+        below = {0}
+        for g in _random_reduced_word(W, w, rng):
+            below |= {W._right[x][g] for x in below}
+        for u in W:
+            if W.bruhat_leq(u, w) != (u.index in below):
+                return u, w
+    return None
+
+
+def _order(W) -> set:
+    """Bruhat order as `bruhat_leq` reads it; computing it fills every cone."""
+    return {(u.index, w.index) for w in W for u in W if W.bruhat_leq(u, w)}
+
+
+def _mutated_groups(dynkin, kind, draws=6):
+    """Fresh groups whose Bruhat cones each carry one seeded corruption.
+
+    "removed": one index dropped from one cone; "added": one index added to a
+    cone it does not belong to; "swapped": every cone filled while one row of
+    the right-multiplication table had two entries swapped, the table then
+    restored, so that only the cones are wrong.  A draw is kept when it
+    changes the order `bruhat_leq` reads; an index longer than the element
+    it was added to hides behind the length test of `bruhat_leq`.
+    """
+    datum = preset_datum(dynkin)
+    truth = _order(WeylGroup(datum))
+    rng = random.Random(f"{dynkin}:{kind}")
+    out = []
+    while len(out) < draws:
+        W = WeylGroup(datum)
+        if kind == "swapped":
+            x = rng.randrange(len(W))
+            g, h = rng.sample(range(datum.num_simple), 2)
+            row = W._right[x]
+            W._right[x] = tuple(row[h] if k == g else row[g] if k == h else v for k, v in enumerate(row))
+            _order(W)
+            W._right[x] = row
+        else:
+            _order(W)
+            w = W.elements[rng.randrange(1, len(W) - 1)]  # neither e nor w0
+            cone = W._cones[w.index]
+            if kind == "removed":
+                W._cones[w.index] = cone - {rng.choice(sorted(cone))}
+            else:
+                W._cones[w.index] = cone | {rng.choice(sorted(set(range(len(W))) - cone))}
+        if _order(W) != truth:
+            out.append(W)
+    return out
+
+
+@pytest.mark.parametrize("dynkin", ["A3", "B3"])
+def test_subword_reference_agrees_on_intact_groups(dynkin):
+    W = WeylGroup(preset_datum(dynkin))
+    assert _case_checks(W, random.Random(1)) == []
+    assert _subword_disagreement(W, random.Random(2)) is None
+
+
+@pytest.mark.parametrize("kind", ["removed", "added", "swapped"])
+@pytest.mark.parametrize("dynkin", ["A3", "B3"])
+def test_case_checks_catch_a_corrupted_bruhat_cone(dynkin, kind):
+    for W in _mutated_groups(dynkin, kind):
+        found = _case_checks(W, random.Random(1))
+        assert found and found[0].startswith("Bruhat co"), found
+        # the subword search catches the same corruption
+        assert _subword_disagreement(W, random.Random(2)) is not None

@@ -14,6 +14,7 @@ from weylord import (
     principal_lower_set,
     weyl_group,
 )
+from weylord.posets import _lin_identity_failures
 
 
 @pytest.fixture(scope="module")
@@ -148,9 +149,9 @@ def _outcome(check, poset, length, x0):
         return str(exc)
 
 
-def test_lin_identity_matches_the_all_pairs_reference():
+def _random_posets_with_lengths():
+    """300 seeded random posets, each with a length function of one of four kinds."""
     rng = random.Random(2024)
-    outcomes = []
     for _ in range(300):
         P = _random_poset(rng)
         size = {x: bin(P.down_mask(x)).count("1") for x in P.elements}
@@ -163,6 +164,12 @@ def test_lin_identity_matches_the_all_pairs_reference():
             values = {x: size[x] + rng.randrange(-1, 2) for x in P.elements}
         else:  # partially ordered values: the lower set itself
             values = {x: frozenset(principal_lower_set(P, x).members()) for x in P.elements}
+        yield P, values
+
+
+def test_lin_identity_matches_the_all_pairs_reference():
+    outcomes = []
+    for P, values in _random_posets_with_lengths():
         for x0 in P.elements:
             got = _outcome(check_lin_identity, P, values.__getitem__, x0)
             assert got == _outcome(_lin_identity_reference, P, values.__getitem__, x0)
@@ -177,3 +184,38 @@ def test_poset_membership_errors(a2_poset):
         P.leq("x", W.identity)
     with pytest.raises(DomainError):
         principal_lower_set(Q, "y")
+
+
+def _failing_indices(check, poset, length):
+    """Per-element outcomes folded like `_lin_identity_failures`: indices or the error."""
+    outcomes = [_outcome(check, poset, length, x0) for x0 in poset.elements]
+    errors = {o for o in outcomes if isinstance(o, str)}
+    if errors:
+        assert len(errors) == 1 and len(set(map(type, outcomes))) == 1
+        return errors.pop()
+    return tuple(i for i, ok in enumerate(outcomes) if not ok)
+
+
+def _one_pass(poset, length):
+    try:
+        return _lin_identity_failures(poset, length)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _bruhat_posets_with_lengths():
+    for dynkin in ("A3", "B3", "G2"):
+        P = bruhat_poset(weyl_group(preset_datum(dynkin)))
+        yield P, {x: x.length for x in P.elements}
+        yield P, {x: 2 * x.length + x.index % 2 for x in P.elements}  # strictly monotonic, with ties
+        yield P, {x: x.length // 2 for x in P.elements}  # not strictly monotonic
+
+
+def test_one_pass_lin_identity_matches_the_per_element_check():
+    seen = []
+    for P, values in itertools.chain(_random_posets_with_lengths(), _bruhat_posets_with_lengths()):
+        got = _one_pass(P, values.__getitem__)
+        assert got == _failing_indices(check_lin_identity, P, values.__getitem__)
+        assert got == _failing_indices(_lin_identity_reference, P, values.__getitem__)
+        seen.append(got)
+    assert () in seen and "length function is not strictly monotonic" in seen
