@@ -2,12 +2,16 @@
 
 Everything here works over Z with arbitrary-precision ints; no floats are ever
 involved, so pairings and lattice computations are exact by construction.
+
+It decides whether A x = b has an integer solution (`solve_integer`) and
+whether A maps Z^n onto Z^m (`surjective_over_z`, every unit vector is hit),
+both by one column-echelon pass: unimodular column operations keep the
+lattice A Z^n (Cohen, A Course in Computational Algebraic Number Theory, §2.4).
 """
 
 from __future__ import annotations
 
 Vector = tuple[int, ...]
-Matrix = list[list[int]]
 
 
 def dot(u, v) -> int:
@@ -36,141 +40,55 @@ def unit_vector(i: int, n: int) -> Vector:
     return tuple(int(j == i) for j in range(n))
 
 
-def _identity(n: int) -> Matrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(rows) -> tuple[list[int], Matrix, Matrix]:
-    """Smith normal form of an integer matrix.
-
-    Returns (diag, U, V) where U and V are unimodular, U * A * V is diagonal
-    with entries `diag` (nonnegative, each dividing the next, zeros last).
-    """
-    A: Matrix = [list(r) for r in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    for r in A:
-        if len(r) != n:
-            raise ValueError("ragged matrix")
-    U = _identity(m)
-    V = _identity(n)
-
-    def row_sub(i, j, q):  # row_i -= q * row_j
-        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
-    def col_sub(i, j, q):  # col_i -= q * col_j
-        for row in A:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def eliminate(t):
-        """Clear row and column t, leaving the pivot at (t, t)."""
-        while True:
-            i_nz = next((i for i in range(t + 1, m) if A[i][t]), None)
-            j_nz = next((j for j in range(t + 1, n) if A[t][j]), None)
-            if i_nz is None and j_nz is None:
-                return
-            if i_nz is not None:
-                q = A[i_nz][t] // A[t][t]
-                row_sub(i_nz, t, q)
-                if A[i_nz][t]:
-                    row_swap(i_nz, t)
-            else:
-                q = A[t][j_nz] // A[t][t]
-                col_sub(j_nz, t, q)
-                if A[t][j_nz]:
-                    col_swap(j_nz, t)
-
-    k = min(m, n)
-    while True:
-        t = 0
-        while t < k:
-            pivot = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    a = abs(A[i][j])
-                    if a and (best is None or a < best):
-                        pivot, best = (i, j), a
-            if pivot is None:
-                break
-            if pivot[0] != t:
-                row_swap(pivot[0], t)
-            if pivot[1] != t:
-                col_swap(pivot[1], t)
-            eliminate(t)
-            t += 1
-        # enforce the divisibility chain; a violation feeds the smaller gcd
-        # back into the diagonalisation loop
-        bad = None
-        for t in range(k - 1):
-            a, b = A[t][t], A[t + 1][t + 1]
-            if a and b and b % a != 0:
-                bad = t
-                break
-        if bad is None:
-            break
-        for row in A:
-            row[bad] += row[bad + 1]
-        for row in V:
-            row[bad] += row[bad + 1]
-
-    diag = []
-    for t in range(k):
-        d = A[t][t]
-        if d < 0:
-            A[t] = [-a for a in A[t]]
-            U[t] = [-a for a in U[t]]
-            d = -d
-        diag.append(d)
-    # zeros trail automatically: a zero pivot ends the elimination loop
-    return diag, U, V
-
-
 def solve_integer(rows, b) -> Vector | None:
-    """One integer solution x of A x = b, or None if the system is unsolvable."""
-    rows = [list(r) for r in rows]
+    """One integer solution x of A x = b, or None if the system is unsolvable.
+
+    One pass over the rows of A.  On row i, Euclid's algorithm across the
+    columns still free leaves a single nonzero entry, the pivot, so the fixed
+    columns form H = A V in lower echelon form with V unimodular.  H y = b is
+    solved on the same pass: a pivot row must divide what is left of b_i,
+    and a row without a pivot must have nothing left.  Then x = V y.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if len(b) != m:
         raise ValueError("right-hand side has wrong length")
-    if m == 0:
-        return zero_vector(n)
-    diag, U, V = smith_normal_form(rows)
-    c = [dot(tuple(U[i]), tuple(b)) for i in range(m)]
-    y = [0] * n
-    for i in range(min(m, n)):
-        if diag[i]:
-            if c[i] % diag[i]:
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged matrix")
+    H = [[r[j] for r in rows] for j in range(n)]  # columns of A V
+    V = [list(unit_vector(j, n)) for j in range(n)]  # columns of V
+    rest = list(b)  # b minus the fixed columns of H times their y
+    x = [0] * n
+    k = 0  # columns before k are fixed
+    for i in range(m):
+        while True:
+            live = [j for j in range(k, n) if H[j][i]]
+            if not live:
+                break
+            p = min(live, key=lambda j: abs(H[j][i]))
+            H[k], H[p], V[k], V[p] = H[p], H[k], V[p], V[k]
+            if len(live) == 1:
+                break
+            for j in range(k + 1, n):
+                q = H[j][i] // H[k][i]
+                H[j] = [a - q * c for a, c in zip(H[j], H[k])]
+                V[j] = [a - q * c for a, c in zip(V[j], V[k])]
+        if k == n or not H[k][i]:
+            if rest[i]:
                 return None
-            y[i] = c[i] // diag[i]
-        elif c[i]:
+            continue
+        y, r = divmod(rest[i], H[k][i])
+        if r:
             return None
-    for i in range(min(m, n), m):
-        if c[i]:
-            return None
-    return tuple(sum(V[j][i] * y[i] for i in range(n)) for j in range(n))
+        rest = [a - y * c for a, c in zip(rest, H[k])]
+        x = [a + y * c for a, c in zip(x, V[k])]
+        k += 1
+    return tuple(x)
 
 
 def surjective_over_z(rows) -> bool:
-    """Whether x -> A x maps Z^cols onto Z^rows (all unit vectors are hit)."""
+    """Whether x -> A x maps Z^cols onto Z^rows: every unit vector is some A x."""
     m = len(rows)
-    if m == 0:
-        return True
-    n = len(rows[0])
-    if n < m:
+    if m and len(rows[0]) < m:
         return False
-    diag, _, _ = smith_normal_form(rows)
-    return all(d == 1 for d in diag[:m])
+    return all(solve_integer(rows, unit_vector(i, m)) is not None for i in range(m))

@@ -257,29 +257,36 @@ def _case_checks(group: WeylGroup, rng: random.Random) -> list[str]:
     return out
 
 
-def _left_checks(group: WeylGroup, I) -> list[str]:
+def _left_checks(group: WeylGroup, I, covers) -> tuple[list[str], dict]:
+    """Checks of the left cosets of W_I, and the projection w -> x in w = w_I * x."""
     datum = group.datum
-    out = []
+    proj1 = {}
     closed = frozenset(group.min_coset_reps(I))
     if closed != brute_min_reps(group, I):
-        return [f"minimal coset representatives for I={datum.label_list(I)} diverge"]
+        return [f"minimal coset representatives for I={datum.label_list(I)} diverge"], proj1
     phi_i = _phi_subset_pos(group, I)
     n = group.num_positive
     for w in group.elements:
         u, x = group.coset_decompose(I, w)
         if group.mul(u, x) != w or u.length + x.length != w.length:
-            out.append(f"coset decomposition of {w} at I={datum.label_list(I)} broken")
-            return out
+            return [f"coset decomposition of {w} at I={datum.label_list(I)} broken"], proj1
         if x not in closed:
-            out.append(f"coset remainder of {w} is not a minimal representative")
-            return out
+            return [f"coset remainder of {w} is not a minimal representative"], proj1
         # characterising equality: Phi_I^+ meets w(Phi^+) exactly in w_I(Phi_I^+)
         lhs = {w.perm[r] for r in range(n)} & phi_i
         rhs = {u.perm[r] for r in phi_i} & phi_i
         if lhs != rhs:
-            out.append(f"characterising root equality fails at w={w}, I={datum.label_list(I)}")
-            return out
-    return out
+            return [f"characterising root equality fails at w={w}, I={datum.label_list(I)}"], proj1
+        proj1[w] = x
+    # order-preserving projection to representatives.  Bruhat order is graded
+    # by length, so any u <= w is joined by a chain of covers (chain property,
+    # Bjorner-Brenti Thm 2.2.6); a map that preserves every cover therefore
+    # preserves the whole order by transitivity.  `_case_checks` has already
+    # checked the cones behind `bruhat_leq` against the Bruhat graph.
+    for u, w in covers:
+        if not group.bruhat_leq(proj1[u], proj1[w]):
+            return [f"left projection is not order-preserving at ({u}, {w})"], proj1
+    return [], proj1
 
 
 def _double_checks(group: WeylGroup, I, J, covers, proj1, table) -> list[str]:
@@ -343,16 +350,9 @@ def _double_checks(group: WeylGroup, I, J, covers, proj1, table) -> list[str]:
         )
         if entry.d != quotient:
             return [f"d of {w} differs from the unipotent quotient dimension"]
-    # order-preserving projections to representatives.  Bruhat order is graded
-    # by length, so any u <= w is joined by a chain of covers (chain property,
-    # Bjorner-Brenti Thm 2.2.6); a map that preserves every cover therefore
-    # preserves the whole order by transitivity.  `_case_checks` has already
-    # checked the cones behind `bruhat_leq` against the Bruhat graph.  `proj1`
-    # sends w to x in w = w_I * x; it depends on I only.
+    # order-preserving double projection, on covers as `_left_checks` does proj1
     proj2 = {w: group.double_decompose(I, J, proj1[w])[0] for w in group.elements}
     for u, w in covers:
-        if not group.bruhat_leq(proj1[u], proj1[w]):
-            return [f"left projection is not order-preserving at ({u}, {w})"]
         if not group.bruhat_leq(proj2[u], proj2[w]):
             return [f"double projection is not order-preserving at ({u}, {w})"]
     return []
@@ -507,8 +507,7 @@ def sweep(cases=None, e_values=(1, 2), seed: int = 20_240_001) -> list[OracleRep
         case_issues = _case_checks(group, rng)
         covers = () if case_issues else _bruhat_covers(group)
         for I in _subsets(datum.num_simple):
-            left_issues = _left_checks(group, I)
-            proj1 = {w: group.coset_decompose(I, w)[1] for w in group.elements}
+            left_issues, proj1 = _left_checks(group, I, covers)
             for J in _subsets(datum.num_simple):
                 issues = case_issues + left_issues
                 # one table and one opposition map per (I, J), each built

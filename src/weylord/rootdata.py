@@ -262,9 +262,23 @@ class RootDatum:
 
 # -- presets -----------------------------------------------------------------
 
-_TYPE_RE = re.compile(r"^([ABCDFG])(\d+)$")
+# nine digits at most: int() refuses thousands, and ten are far over ROOT_CAP
+_TYPE_RE = re.compile(r"^([ABCDFG])(\d{1,9})$")
 
 LATTICES = ("simply_connected", "adjoint", "gl")
+
+
+def _positive_root_count(letter: str, n: int) -> int:
+    """|Phi^+| of one irreducible component, read off its type; 0 for an F or G
+    other than F4 and G2, which `_cartan_block` rejects."""
+    return {
+        "A": n * (n + 1) // 2,
+        "B": n * n,
+        "C": n * n,
+        "D": n * (n - 1),
+        "F": 24 * (n == 4),
+        "G": 6 * (n == 2),
+    }[letter]
 
 
 def _cartan_block(letter: str, n: int):
@@ -352,6 +366,10 @@ def preset_datum(
     if lattice not in LATTICES:
         raise InputError(f"unknown lattice {lattice!r}; expected one of {LATTICES}")
     components = parse_type(type_str)
+    # bound the work before any block is built: an n x n Cartan block costs n^2
+    roots = sum(_positive_root_count(letter, n) for letter, n in components)
+    if roots > ROOT_CAP:
+        raise InputError(f"type {type_str} has {roots} positive roots, over the cap of {ROOT_CAP}")
     blocks_r: list[list[Vector]] = []
     blocks_c: list[list[Vector]] = []
     widths: list[int] = []

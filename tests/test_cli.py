@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -250,6 +251,28 @@ def test_malformed_values_end_in_an_input_error(tmp_path, capsys, datum_text, sc
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("error:") and message in err[-1]
+
+
+@pytest.mark.parametrize("verb", ["info", "verify"])
+def test_preset_over_the_root_cap_ends_in_an_error_line(tmp_path, verb):
+    datum = tmp_path / "huge.txt"
+    datum.write_text('type = "A30000"\n')
+    argv = ["info", str(datum)] if verb == "info" else ["verify", "--types", "A30000"]
+    src = Path(weylord.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def limit_memory():  # without the cap the Cartan block alone needs gigabytes
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "weylord.cli", *argv],
+        env=env, capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+    )
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr.strip().splitlines()[-1] == (
+        "error: type A30000 has 450015000 positive roots, over the cap of 10000"
+    )
 
 
 @pytest.mark.parametrize("kind", ["datum_is_directory", "datum_not_utf8", "scenario_is_directory", "missing_file"])

@@ -8,6 +8,7 @@ from weylord.oracle import (
     SweepCase,
     _bruhat_covers,
     _case_checks,
+    _left_checks,
     _order_reversal_failure,
     brute_double_reps,
     brute_min_reps,
@@ -150,6 +151,32 @@ def test_order_preservation_on_covers_decides_it_on_all_pairs():
             assert on_covers == _order_preserving(W, f, comparable)
             outcomes.append(on_covers)
     assert len(maps) > 16 and outcomes.count(True) > len(maps) and False in outcomes
+
+
+def test_left_checks_report_a_left_projection_that_breaks_order(monkeypatch):
+    # a group of its own: `bruhat_leq` is patched on the instance below
+    W = WeylGroup(preset_datum("A3"))
+    covers = _bruhat_covers(W)
+    leq = W.bruhat_leq
+    comparable = [(u, w) for w in W for u in W if leq(u, w)]
+    rng = random.Random(19)
+    for labels in ((), ("a1",), ("a1", "a3"), ("a2",)):
+        I = W.datum.subset(labels)
+        issues, proj1 = _left_checks(W, I, covers)
+        assert issues == [] and proj1 == {w: W.coset_decompose(I, w)[1] for w in W}
+        reps = sorted(set(proj1.values()), key=lambda x: x.index)
+        for _ in range(6):
+            # exchange two images: with `bruhat_leq` read through the swap s,
+            # the cover check compares the images of s o proj1
+            a, b = rng.sample(reps, 2)
+            s = {a: b, b: a}
+            monkeypatch.setattr(W, "bruhat_leq", lambda x, y: leq(s.get(x, x), s.get(y, y)))
+            issues, _ = _left_checks(W, I, covers)
+            monkeypatch.undo()
+            swapped = {w: s.get(x, x) for w, x in proj1.items()}
+            assert not all(leq(swapped[u], swapped[w]) for u, w in comparable)
+            assert len(issues) == 1
+            assert issues[0].startswith("left projection is not order-preserving at (")
 
 
 def test_order_reversal_on_comparable_pairs_matches_all_pairs():

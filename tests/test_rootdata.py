@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from weylord import DomainError, InputError, build_datum, explicit_datum, preset_datum
+from weylord.rootdata import ROOT_CAP, _positive_root_count, parse_type
 from weylord.intlinalg import dot, vscale, vsub
 
 
@@ -33,10 +34,26 @@ def test_gl_for_non_type_a_rejected():
 
 @pytest.mark.parametrize(
     "type_str, count",
-    [("A2", 3), ("A1xA1", 2), ("G2", 6), ("B2", 4), ("B3", 9), ("C3", 9), ("A3", 6), ("F4", 24)],
+    [
+        ("A2", 3), ("A1xA1", 2), ("G2", 6), ("B2", 4), ("B3", 9), ("C3", 9), ("A3", 6), ("F4", 24),
+        ("C4", 16), ("D3", 6), ("D5", 20), ("A2xB3xG2", 18),
+    ],
 )
 def test_positive_root_counts(type_str, count):
     assert preset_datum(type_str).num_positive == count
+    # the preset bound reads the same count off the type alone
+    assert sum(_positive_root_count(letter, n) for letter, n in parse_type(type_str)) == count
+
+
+def test_preset_over_the_root_cap_is_an_input_error():
+    assert ROOT_CAP == 10_000
+    with pytest.raises(InputError, match="10011 positive roots"):
+        preset_datum("A141")
+    with pytest.raises(InputError, match="10100 positive roots"):
+        preset_datum("A100xA100", "gl")
+    assert preset_datum("A140").num_simple == 140  # 9870 positive roots
+    with pytest.raises(InputError, match="cannot parse type component"):
+        preset_datum("A" + "9" * 5000)
 
 
 def test_positive_roots_ordered_by_height():
