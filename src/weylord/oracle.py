@@ -8,11 +8,13 @@ sweep runs every cross-check over all pairs of parabolic subsets of a list of
 preset data and reports the first divergence per case.
 
 Once per case, the lower covers of each w are the w t_beta of length
-l(w) - 1, and each subword cone behind `bruhat_leq` must have these covers
+l(w) - 1, and each cone bitmask behind `bruhat_leq` must have these covers
 and be the union of their cones; that decides the order on all pairs in
 O(|W| N) products.  The projections to coset representatives are checked for
 order preservation on the covers, and opposition maps for order reversal on
-the comparable pairs read off the cones.
+the comparable pairs read off the cone bitmasks.  Minimal coset
+representatives are the double-coset ones with J empty, so one brute-force
+partition serves both.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .grading import (
     surviving,
 )
 from .intlinalg import vadd, vscale, vsub, zero_vector
-from .posets import _lin_identity_failures
+from .posets import _bits, _lin_identity_failures
 from .rootdata import RootDatum, preset_datum
 from .weyl import (
     WeylGroup,
@@ -43,24 +45,6 @@ from .weyl import (
 
 
 # -- independent recomputations ------------------------------------------------
-
-
-def brute_min_reps(group: WeylGroup, I) -> frozenset:
-    """Minimal-length representatives of W_I \\ W by explicit partition."""
-    wi = group.parabolic_elements(I)
-    seen: set[int] = set()
-    reps = set()
-    for w in group.elements:
-        if w.index in seen:
-            continue
-        coset = {group.mul(u, w) for u in wi}
-        seen.update(x.index for x in coset)
-        least = min(x.length for x in coset)
-        mins = [x for x in coset if x.length == least]
-        if len(mins) != 1:
-            raise DomainError("coset with two distinct minimal-length elements")
-        reps.add(mins[0])
-    return frozenset(reps)
 
 
 def brute_double_reps(group: WeylGroup, I, J) -> frozenset:
@@ -240,7 +224,7 @@ def _case_checks(group: WeylGroup, rng: random.Random) -> list[str]:
         t = reflections.get(r)
         if t is None or t.perm[r] != r + n or group.mul(t, t) != group.identity:
             return [f"reflection of positive root {r} is not an involution negating it"]
-    cones = [sum(1 << u for u in group._cone(w)) for w in elems]
+    cones = [group._cone(w) for w in elems]
     covers = [0] * len(elems)
     unions = [1 << w.index for w in elems]
     for u, w in _bruhat_covers(group):
@@ -262,7 +246,7 @@ def _left_checks(group: WeylGroup, I, covers) -> tuple[list[str], dict]:
     datum = group.datum
     proj1 = {}
     closed = frozenset(group.min_coset_reps(I))
-    if closed != brute_min_reps(group, I):
+    if closed != brute_double_reps(group, I, frozenset()):
         return [f"minimal coset representatives for I={datum.label_list(I)} diverge"], proj1
     phi_i = _phi_subset_pos(group, I)
     n = group.num_positive
@@ -378,10 +362,11 @@ def _order_reversal_failure(group: WeylGroup, mapping: dict):
     Only comparable pairs are visited: for each v, the domain inside v's cone.
     """
     by_index = {x.index: x for x in mapping}
+    domain = sum(1 << i for i in by_index)
     for v, fv in mapping.items():
-        for i in by_index.keys() & group._cone(v):
+        for i in _bits(group._cone(v) & domain):
             u = by_index[i]
-            if not group.bruhat_leq(fv, mapping[u]):
+            if not group._cone(mapping[u]) >> fv.index & 1:
                 return u, v
     return None
 

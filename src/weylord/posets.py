@@ -12,9 +12,23 @@ POSET_CAP = 10_000
 
 
 class FinitePoset:
-    """A finite poset validated for reflexivity, antisymmetry, transitivity."""
+    """A finite poset validated for reflexivity, antisymmetry, transitivity.
+
+    `_down[i]` is the down-set of elements[i] as a bitmask over positions.
+    """
 
     def __init__(self, elements, leq):
+        self._setup(elements, lambda xs: [sum(1 << j for j, y in enumerate(xs) if leq(y, x)) for x in xs])
+
+    @classmethod
+    def _from_down(cls, elements, down):
+        """A poset on `elements` whose down-set bitmasks `down(elements)` returns."""
+        poset = cls.__new__(cls)
+        poset._setup(elements, down)
+        return poset
+
+    def _setup(self, elements, down):
+        """Store and validate; `down` runs only once the size and distinctness checks pass."""
         elements = tuple(elements)
         if len(elements) > POSET_CAP:
             raise DomainError(f"poset exceeds the cap of {POSET_CAP} elements")
@@ -22,13 +36,7 @@ class FinitePoset:
             raise DomainError("poset elements must be distinct")
         self.elements = elements
         self._index = {x: i for i, x in enumerate(elements)}
-        n = len(elements)
-        down = [0] * n
-        for i, x in enumerate(elements):
-            for j, y in enumerate(elements):
-                if leq(y, x):
-                    down[i] |= 1 << j
-        self._down = tuple(down)
+        self._down = tuple(down(elements))
         self._validate()
 
     @classmethod
@@ -38,20 +46,15 @@ class FinitePoset:
 
     def _validate(self):
         down = self._down
-        for i in range(len(down)):
-            if not down[i] >> i & 1:
-                raise DomainError("poset relation is not reflexive")
-        for i in range(len(down)):
-            for j in range(i + 1, len(down)):
-                if down[i] >> j & 1 and down[j] >> i & 1:
-                    raise DomainError("poset relation is not antisymmetric")
         for i, mask in enumerate(down):
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                if down[j] & ~mask:
-                    raise DomainError("poset relation is not transitive")
-                m &= m - 1
+            if not mask >> i & 1:
+                raise DomainError("poset relation is not reflexive")
+        for i, mask in enumerate(down):
+            if any(down[j] >> i & 1 for j in _bits(mask & ~(1 << i))):
+                raise DomainError("poset relation is not antisymmetric")
+        for i, mask in enumerate(down):
+            if any(down[j] & ~mask for j in _bits(mask)):
+                raise DomainError("poset relation is not transitive")
 
     def __len__(self):
         return len(self.elements)
@@ -75,13 +78,8 @@ class LowerSet:
     def __init__(self, poset: FinitePoset, mask: int):
         self.poset = poset
         self.mask = mask
-        down = poset._down
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            if down[i] & ~mask:
-                raise DomainError("subset is not downward closed")
-            m &= m - 1
+        if any(poset._down[i] & ~mask for i in _bits(mask)):
+            raise DomainError("subset is not downward closed")
 
     @classmethod
     def from_members(cls, poset, members):
@@ -91,9 +89,7 @@ class LowerSet:
         return cls(poset, mask)
 
     def members(self) -> tuple:
-        return tuple(
-            x for i, x in enumerate(self.poset.elements) if self.mask >> i & 1
-        )
+        return tuple(self.poset.elements[i] for i in _bits(self.mask))
 
     def __contains__(self, x):
         return bool(self.mask >> self.poset.index(x) & 1)
@@ -124,18 +120,13 @@ class LowerSet:
         return LowerSet(self.poset, self.mask & other.mask)
 
     def maximal_elements(self) -> tuple:
-        out = []
-        for i, x in enumerate(self.poset.elements):
-            if not self.mask >> i & 1:
-                continue
-            strictly_above = self.mask & ~self.poset._down[i]
-            # members not below x that dominate x
-            if not any(
-                self.poset._down[j] >> i & 1
-                for j in _bits(strictly_above)
-            ):
-                out.append(x)
-        return tuple(out)
+        down, mask = self.poset._down, self.mask
+        # x is maximal when no member outside its down-set lies above it
+        return tuple(
+            self.poset.elements[i]
+            for i in _bits(mask)
+            if not any(down[j] >> i & 1 for j in _bits(mask & ~down[i]))
+        )
 
 
 def _bits(mask):

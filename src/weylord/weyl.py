@@ -5,36 +5,50 @@ coordinates, where rho = (1, ..., 1).  The simple reflection s_g acts on such a
 weight x by x -> x - x_g * (row g of the Cartan matrix), and the key of w*s_g
 is s_g applied to the key of w.  rho is regular, so distinct elements have
 distinct keys, and the whole group is one breadth-first pass over the orbit
-of rho.  Each element also carries its canonical (ShortLex-least) reduced word
-and a row of the right-multiplication table; its permutation of the full
-reduced root list is composed from the word on first use.  On top of the bare
-group this module computes Bruhat order, minimal coset and double-coset
-representatives with their Kostant-style decompositions, the inversion
-invariants d_w and delta_w, unipotent cross-section root sets, and the
-order-reversing opposition bijections between double-coset representative
-sets.
+of rho, made only once the exponents show that |W| is under the cap.  Each
+element also carries its canonical (ShortLex-least) reduced word and a row of
+the right-multiplication table; its permutation of the full reduced root list
+is composed from the word on first use.  On top of the bare group this module
+computes Bruhat order, minimal coset and double-coset representatives with
+their Kostant-style decompositions, the inversion invariants d_w and delta_w,
+unipotent cross-section root sets, and the order-reversing opposition
+bijections between double-coset representative sets.
 
 Coset membership is a descent test: w is minimal in W_I w (in w W_J) exactly
 when no simple root of I is a left (of J a right) descent of w.  The right
 descents of w are the negative coordinates of its key, and the left descents
 are the right descents of w^{-1}.  The group keeps every element's left and
 right descent sets as int bitmasks over simple indices, computed on first
-use, so a membership test is one `&`.  The Bruhat matrix of a double-coset
-table is also computed on first use: only the JSON output and the tests read
-it.
+use, so a membership test is one `&`.  Bruhat order is stored once, as each
+element's cone (`WeylGroup._cone`): `bruhat_leq` is one bit test, and
+`bruhat_poset` and the Bruhat matrix of a double-coset table read their
+down-sets off the cones without comparing pairs.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import DomainError
 from .intlinalg import vadd, vscale, zero_vector
-from .rootdata import RootDatum
+from .posets import FinitePoset, _bits
+from .rootdata import RootDatum, RootSystemTable
 
 WEYL_CAP = 1_000_000
 WEYL_CACHE_SIZE = 32  # groups kept by `weyl_group`; the largest benchmark holds 10
+
+
+def _weyl_order(table: RootSystemTable) -> int:
+    """|W| as the product of m_i + 1 over the exponents m_i (Humphreys §3.20).
+
+    By Kostant's theorem the exponents are the dual partition of the numbers
+    of positive roots of each height.
+    """
+    per_height = Counter(sum(c) for c in table.coeffs).values()
+    return math.prod(1 + sum(n >= i for n in per_height) for i in range(1, max(per_height, default=0) + 1))
 
 
 class WeylElement:
@@ -113,6 +127,9 @@ class WeylGroup:
     def __init__(self, datum: RootDatum, cap: int = WEYL_CAP):
         self.datum = datum
         table = datum.roots
+        order = _weyl_order(table)
+        if order > cap:
+            raise DomainError(f"Weyl group of order {order} exceeds the configured cap ({cap})")
         self.table = table
         n = table.count
         self.num_positive = n
@@ -159,8 +176,6 @@ class WeylGroup:
                         words.append(base + (g,))
                     row.append(j)
                 right.append(tuple(row))
-            if len(keys) > cap:
-                raise DomainError(f"Weyl group exceeds the configured cap ({cap})")
             start, end = end, len(keys)
 
         self._keys = keys
@@ -173,7 +188,8 @@ class WeylGroup:
             raise DomainError("corrupt datum: longest element does not invert all positive roots")
 
         self._inv = [None] * len(self.elements)
-        self._cones: dict[int, frozenset[int]] = {}
+        self._cones = {0: 1}  # element index -> cone bitmask, filled on first use
+        self._simple_at = {r: i for i, r in enumerate(table.simple_index)}
         self._parabolic_cache: dict[frozenset, tuple] = {}
 
     # -- group mechanics ---------------------------------------------------
@@ -251,16 +267,6 @@ class WeylGroup:
 
     # -- descents and minimality ----------------------------------------------
 
-    def _simple_pos(self, i: int) -> int:
-        return self.table.simple_index[i]
-
-    def simple_of_root(self, r: int) -> int | None:
-        """Simple index of a root position, if the (positive) root is simple."""
-        try:
-            return self.table.simple_index.index(r)
-        except ValueError:
-            return None
-
     @cached_property
     def descents(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(left, right): every element's descent sets, indexed like `elements`.
@@ -318,42 +324,54 @@ class WeylGroup:
 
     # -- Bruhat order ---------------------------------------------------------
 
-    def _cone(self, w: WeylElement) -> frozenset[int]:
-        """All u <= w, as element indices (subword closure of the canonical word)."""
-        cached = self._cones.get(w.index)
-        if cached is None:
-            S = {0}
+    def _cone(self, w: WeylElement) -> int:
+        """All u <= w, as a bitmask over element indices, built on first use.
+
+        cone(p * s_g) = cone(p) | cone(p) * s_g when p * s_g is longer than p
+        (subword property, Bjorner-Brenti Thm 2.2.2), and the prefixes of a
+        canonical word are canonical, so w's prefixes are filled walking forward.
+        """
+        cones = self._cones
+        cone = cones.get(w.index)
+        if cone is None:
+            right = self._right
+            i, cone = 0, 1
             for g in w.word:
-                S |= {self._right[x][g] for x in S}
-            cached = frozenset(S)
-            self._cones[w.index] = cached
-        return cached
+                i = right[i][g]
+                nxt = cones.get(i)
+                if nxt is None:
+                    nxt = cone
+                    for u in _bits(cone):
+                        nxt |= 1 << right[u][g]
+                    cones[i] = nxt
+                cone = nxt
+        return cone
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
-        if u.length > w.length:
-            return False
-        return u.index in self._cone(w)
+        return bool(self._cone(w) >> u.index & 1)
 
     # -- coset decompositions ----------------------------------------------------
 
     def min_coset_reps(self, I) -> tuple[WeylElement, ...]:
-        m = self.table.mask(self.datum.check_subset(I))
-        return tuple(w for w, d in zip(self.elements, self.descents[0]) if not d & m)
+        return self.double_coset_reps(I, ())
+
+    def _strip(self, w: WeylElement, subset, left: bool) -> tuple[WeylElement, WeylElement]:
+        """(x, p) with p in W_subset and x free of its descents: w = p * x if `left`, else x * p."""
+        m = self.table.mask(subset)
+        descents = self.descents[0 if left else 1]
+        x, p = w, self.identity
+        while True:
+            d = descents[x.index] & m
+            if not d:
+                return x, p
+            # strip the lowest descent; any order gives the same unique factors
+            s = self.gen((d & -d).bit_length() - 1)
+            x, p = (self.mul(s, x), self.mul(p, s)) if left else (self.mul(x, s), self.mul(s, p))
 
     def coset_decompose(self, I, w: WeylElement) -> tuple[WeylElement, WeylElement]:
         """Unique factorisation w = w_I * x with w_I in W_I and x left-minimal."""
-        m = self.table.mask(self.datum.check_subset(I))
-        left = self.descents[0]
-        u = self.identity
-        x = w
-        while True:
-            d = left[x.index] & m
-            if not d:
-                return u, x
-            # strip the lowest descent in I; any order gives the same unique factors
-            g = self.gen((d & -d).bit_length() - 1)
-            x = self.mul(g, x)
-            u = self.mul(u, g)
+        x, u = self._strip(w, self.datum.check_subset(I), left=True)
+        return u, x
 
     def double_coset_reps(self, I, J) -> tuple[WeylElement, ...]:
         mi = self.table.mask(self.datum.check_subset(I))
@@ -369,43 +387,26 @@ class WeylGroup:
         J = self.datum.check_subset(J)
         if not self.is_left_minimal(iw, I):
             raise DomainError("element is not a minimal left-coset representative")
-        m = self.table.mask(J)
-        right = self.descents[1]
-        x = iw
-        v = self.identity
-        while True:
-            d = right[x.index] & m
-            if not d:
-                return x, v
-            # strip the lowest descent in J; any order gives the same unique factors
-            g = self.gen((d & -d).bit_length() - 1)
-            x = self.mul(x, g)
-            v = self.mul(g, v)
+        return self._strip(iw, J, left=False)
 
     # -- simple-root transport ---------------------------------------------------
 
+    def _simple_images(self, w: WeylElement, K) -> list[tuple[int, int | None]]:
+        """(k, i) for k in K, with w(alpha_k) = alpha_i, or i None if w(alpha_k) is not simple."""
+        perm = w.perm
+        simple = self.table.simple_index
+        return [(k, self._simple_at.get(perm[simple[k]])) for k in K]
+
     def image_subset(self, w: WeylElement, J, into) -> frozenset[int]:
         """{ j in J : w(alpha_j) is a simple root belonging to `into` }."""
-        perm = w.perm
-        out = set()
-        for j in J:
-            r = perm[self._simple_pos(j)]
-            k = self.simple_of_root(r) if r < self.num_positive else None
-            if k is not None and k in into:
-                out.add(j)
-        return frozenset(out)
+        return frozenset(j for j, i in self._simple_images(w, J) if i in into)
 
     def transport_subset(self, w: WeylElement, K) -> frozenset[int]:
         """Apply w to a subset of simple roots; all images must stay simple."""
-        perm = w.perm
-        out = set()
-        for k in K:
-            r = perm[self._simple_pos(k)]
-            i = self.simple_of_root(r) if r < self.num_positive else None
-            if i is None:
-                raise DomainError("subset is not carried to simple roots")
-            out.add(i)
-        return frozenset(out)
+        images = self._simple_images(w, K)
+        if any(i is None for _, i in images):
+            raise DomainError("subset is not carried to simple roots")
+        return frozenset(i for _, i in images)
 
 
 @lru_cache(maxsize=WEYL_CACHE_SIZE)
@@ -414,12 +415,19 @@ def weyl_group(datum: RootDatum, cap: int = WEYL_CAP) -> WeylGroup:
 
 
 def bruhat_poset(group: WeylGroup, elements=None):
-    """Bruhat order on the whole group or on a chosen element subset."""
-    from .posets import FinitePoset
+    """Bruhat order on the whole group or on a chosen element subset.
 
+    Each down-set is the element's cone restricted to the subset: no pair is compared.
+    """
     if elements is None:
         elements = group.elements
-    return FinitePoset(elements, group.bruhat_leq)
+
+    def down(elements):
+        position = {x.index: j for j, x in enumerate(elements)}
+        subset = sum(1 << i for i in position)
+        return [sum(1 << position[i] for i in _bits(group._cone(x) & subset)) for x in elements]
+
+    return FinitePoset._from_down(elements, down)
 
 
 # -- double coset tables -------------------------------------------------------
@@ -444,12 +452,12 @@ class DoubleCosetTable:
 
     @cached_property
     def leq(self) -> tuple[tuple[bool, ...], ...]:
-        """Bruhat order restricted to reps, computed on first use.
+        """Bruhat order restricted to reps, read off `bruhat_poset` on first use.
 
         The identity is always a representative, so reps[0] knows the group.
         """
-        group = self.reps[0].group
-        return tuple(tuple(group.bruhat_leq(u, v) for v in self.reps) for u in self.reps)
+        down = bruhat_poset(self.reps[0].group, self.reps)._down
+        return tuple(tuple(bool(d >> a & 1) for d in down) for a in range(len(down)))
 
     @cached_property
     def _by_rep(self) -> dict:

@@ -23,7 +23,7 @@ from weylord import (
 from weylord.ext import Scenario, lemma_gen_solvable
 from weylord.grading import JACQUET, ORD
 from weylord.intlinalg import vadd, vscale, vsub, zero_vector
-from weylord.oracle import brute_double_reps, brute_min_reps, default_cases, sweep
+from weylord.oracle import brute_double_reps, default_cases, sweep
 from weylord.weyl import double_coset_table, opposition_map
 
 from test_ext import fixture_scenarios
@@ -64,7 +64,7 @@ def test_criterion_01_coset_correctness(groups):
     start = time.monotonic()
     for datum, group in groups:
         for I, J in _subset_pairs(datum):
-            assert frozenset(group.min_coset_reps(I)) == brute_min_reps(group, I)
+            assert frozenset(group.min_coset_reps(I)) == brute_double_reps(group, I, frozenset())
             assert frozenset(group.double_coset_reps(I, J)) == brute_double_reps(group, I, J)
             for iw in group.min_coset_reps(I):
                 x, v = group.double_decompose(I, J, iw)

@@ -14,7 +14,8 @@ from weylord import (
     principal_lower_set,
     weyl_group,
 )
-from weylord.posets import _lin_identity_failures
+from weylord.posets import POSET_CAP, _lin_identity_failures
+from weylord.weyl import WeylGroup, double_coset_table
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +220,42 @@ def test_one_pass_lin_identity_matches_the_per_element_check():
         assert got == _failing_indices(_lin_identity_reference, P, values.__getitem__)
         seen.append(got)
     assert () in seen and "length function is not strictly monotonic" in seen
+
+
+@pytest.mark.parametrize("dynkin, multiplicity", [("A3", None), ("B3", None), ("G2", None), ("A2", (2, 2))])
+def test_bruhat_poset_and_table_leq_match_the_all_pairs_reference(monkeypatch, dynkin, multiplicity):
+    # a group of its own, with no cone filled yet: `bruhat_leq` is patched on the instance
+    W = WeylGroup(preset_datum(dynkin, multiplicity=multiplicity))
+    n = W.datum.num_simple
+    subsets = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+    pairs = [(I, J) for I in subsets for J in subsets]
+    leq = W.bruhat_leq
+    calls = 0
+
+    def counted(u, w):
+        nonlocal calls
+        calls += 1
+        return leq(u, w)
+
+    monkeypatch.setattr(W, "bruhat_leq", counted)
+    posets = [bruhat_poset(W, W.double_coset_reps(I, J)) for I, J in pairs] + [bruhat_poset(W)]
+    tables = [double_coset_table(W, I, J).leq for I, J in pairs]
+    assert calls == 0
+    monkeypatch.undo()
+    references = [FinitePoset(P.elements, W.bruhat_leq) for P in posets]
+    for P, ref in zip(posets, references):
+        assert P.elements == ref.elements and P._down == ref._down
+    assert references[-1].elements == W.elements
+    for leq_matrix, ref in zip(tables, references):
+        assert leq_matrix == tuple(tuple(ref.leq(u, v) for v in ref.elements) for u in ref.elements)
+
+
+def test_a_poset_over_the_cap_is_refused_before_any_comparison():
+    calls = []
+    with pytest.raises(DomainError, match="cap"):
+        FinitePoset(range(POSET_CAP + 1), lambda x, y: calls.append((x, y)) or x == y)
+    assert calls == []
+    W = WeylGroup(preset_datum("A2"))
+    with pytest.raises(DomainError, match="cap"):
+        bruhat_poset(W, W.elements * (POSET_CAP // len(W) + 1))
+    assert W._cones == {0: 1}  # no cone was built

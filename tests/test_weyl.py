@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -7,6 +8,7 @@ from weylord.intlinalg import vscale
 from weylord.weyl import (
     WEYL_CACHE_SIZE,
     WeylGroup,
+    _weyl_order,
     cross_section,
     double_coset_table,
     opposition_map,
@@ -38,6 +40,37 @@ def test_f4_order():
 def test_cap():
     with pytest.raises(DomainError, match="cap"):
         weyl_group(preset_datum("F4"), cap=100)
+
+
+def _e_cartan(n):
+    """E_n in Bourbaki numbering: the chain a1-a3-a4-...-an with a2 attached to a4."""
+    edges = {(0, 2), (1, 3)} | {(k, k + 1) for k in range(2, n - 1)}
+    return tuple(
+        tuple(2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+@pytest.mark.parametrize(
+    "type_str",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C3", "C4", "D4", "D5", "F4", "G2", "A1xA1", "A2xB2", "A1xG2"],
+)
+def test_order_from_the_exponents_matches_the_group(type_str):
+    datum = preset_datum(type_str)
+    assert _weyl_order(datum.roots) == len(WeylGroup(datum))
+
+
+def test_order_from_the_exponents_on_e_types():
+    assert _e_cartan(6) == E6_CARTAN
+    for n, order in ((6, 51840), (7, 2_903_040), (8, 696_729_600)):
+        unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        assert _weyl_order(explicit_datum(n, _e_cartan(n), unit).roots) == order
+
+
+def test_a_group_over_the_cap_is_refused_with_its_order():
+    # 31! elements: refused from the root table, before any element is built
+    with pytest.raises(DomainError, match=f"order {math.factorial(31)} exceeds the configured cap"):
+        WeylGroup(preset_datum("A30"))
 
 
 def test_length_is_inversion_count(w_gl4):
