@@ -129,7 +129,7 @@ def _coset_payload(datum, group, table) -> dict:
                 "delta": list(e.delta),
                 "meet": datum.label_list(e.meet),
                 "comeet": datum.label_list(e.comeet),
-                "fiber": [str(v) for v in e.fiber],
+                "fiber": [str(v) for v in group.fiber(table.J, e.meet)],
             }
             for e in table.entries
         ],
@@ -153,7 +153,7 @@ def _cmd_cosets(args) -> int:
         delta = "[" + ",".join(str(c) for c in e.delta) + "]"
         meet = " ".join(datum.label_list(e.meet)) or "-"
         comeet = " ".join(datum.label_list(e.comeet)) or "-"
-        print(f"{str(e.rep):<{width}}  {e.rep.length:>3}  {e.d}  {delta} / {meet} / {comeet} / {len(e.fiber)}")
+        print(f"{str(e.rep):<{width}}  {e.rep.length:>3}  {e.d}  {delta} / {meet} / {comeet} / {len(group.fiber(J, e.meet))}")
     return 0
 
 

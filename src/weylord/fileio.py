@@ -13,6 +13,12 @@ from .ext import Scenario
 from .grading import SigmaDescriptor
 from .rootdata import RootDatum, build_datum, check_value_kinds
 
+_DIGITS = "0123456789"
+# int() refuses longer decimal literals (sys.int_info.default_max_str_digits)
+_MAX_DIGITS = 4300
+# lists and tables nest a few levels in any datum or scenario; the parser recurses per level
+_MAX_DEPTH = 100
+
 
 class _Scanner:
     PUNCT = "[]{}=,;"
@@ -49,12 +55,14 @@ class _Scanner:
                     raise InputError(f"line {line}: unterminated string")
                 self.tokens.append(("str", text[i + 1 : j], line))
                 i = j + 1
-            elif c == "-" or c.isdigit():
+            elif c == "-" or c in _DIGITS:
                 j = i + 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 if text[i:j] == "-":
                     raise InputError(f"line {line}: stray '-'")
+                if j - i - (c == "-") > _MAX_DIGITS:
+                    raise InputError(f"line {line}: integer literal longer than {_MAX_DIGITS} digits")
                 self.tokens.append(("int", int(text[i:j]), line))
                 i = j
             elif c.isalpha() or c == "_":
@@ -86,17 +94,19 @@ class _Scanner:
         return tok
 
 
-def _parse_value(sc: _Scanner):
+def _parse_value(sc: _Scanner, depth: int = 0):
     kind, value, line = sc.next()
     if kind in ("int", "str", "bool"):
         return value
+    if kind == "punct" and value in "[{" and depth == _MAX_DEPTH:
+        raise InputError(f"line {line}: lists and tables nest deeper than {_MAX_DEPTH} levels")
     if kind == "punct" and value == "[":
         items = []
         if sc.peek()[:2] == ("punct", "]"):
             sc.next()
             return items
         while True:
-            items.append(_parse_value(sc))
+            items.append(_parse_value(sc, depth + 1))
             k, v, ln = sc.next()
             if (k, v) == ("punct", "]"):
                 return items
@@ -114,7 +124,7 @@ def _parse_value(sc: _Scanner):
             sc.expect("punct", "=")
             if key in table:
                 raise InputError(f"line {ln}: duplicate key {key!r} in table")
-            table[key] = _parse_value(sc)
+            table[key] = _parse_value(sc, depth + 1)
             k, v, ln = sc.next()
             if (k, v) == ("punct", "}"):
                 return table

@@ -175,12 +175,18 @@ def _bruhat_covers(group: WeylGroup) -> tuple:
 
 
 def _case_checks(group: WeylGroup, rng: random.Random) -> list[str]:
+    datum, table = group.datum, group.table
+    # the root table's simple-reflection rows against reflecting each root vector
+    roots = table.positive + tuple(vscale(-1, v) for v in table.positive)
+    for g, row in enumerate(table.reflect):
+        if row != tuple(table.index[datum.reflect_vector(g, v)] for v in roots):
+            return [f"reflection table disagrees at {datum.labels[g]}"]
     out = []
     left, right = group.descents
     for w in group.elements:
         # the right-multiplication table against root-permutation composition
         perm = w.perm
-        for g, gen_perm in enumerate(group._gen_perms):
+        for g, gen_perm in enumerate(table.reflect):
             ws = group.elements[group._right[w.index][g]]
             if ws.perm != tuple(perm[r] for r in gen_perm):
                 out.append(f"right multiplication table of {w} disagrees at {group.datum.labels[g]}")
@@ -288,12 +294,12 @@ def _double_checks(group: WeylGroup, I, J, covers, proj1, table) -> list[str]:
         if any(wi.perm[r] >= n for r in phi_i) or any(w.perm[r] >= n for r in phi_j):
             return [f"representative {w} moves a parabolic positive system out of the positives"]
     wj_all = group.parabolic_elements(J)
+    fibers = {e.rep: frozenset(group.fiber(J, e.meet)) for e in table.entries}
     for iw in group.min_coset_reps(I):
         x, v = group.double_decompose(I, J, iw)
         if group.mul(x, v) != iw or x.length + v.length != iw.length or x not in closed:
             return [f"double decomposition of {iw} at I={lab(I)}, J={lab(J)} broken"]
-        entry = table.entry(x)
-        if v not in entry.fiber:
+        if v not in fibers[x]:
             return [f"fiber factor of {iw} is not minimal for the meet subset"]
         # Kostant's characterising equality inside Phi_J^+
         lhs = {r for r in phi_j if iw.perm[r] < n}
@@ -303,9 +309,8 @@ def _double_checks(group: WeylGroup, I, J, covers, proj1, table) -> list[str]:
     for entry in table.entries:
         w = entry.rep
         # converse: w * w_J is left-minimal exactly for fiber members
-        fiber = set(entry.fiber)
         for v in wj_all:
-            if (v in fiber) != group.is_left_minimal(group.mul(w, v), I):
+            if (v in fibers[w]) != group.is_left_minimal(group.mul(w, v), I):
                 return [f"fiber characterisation fails at {w}, v={v}"]
         # root identities of the meet subsets
         img_j = {w.perm[group.table.simple_index[j]] for j in J}
@@ -383,11 +388,7 @@ def _duality_checks(group: WeylGroup, I, J, om) -> list[str]:
     if bad:
         return [f"opposition map is not order-reversing at ({bad[0]}, {bad[1]})"]
     for w, fm in om.fiber_maps.items():
-        tgt_fiber = frozenset(
-            v
-            for v in group.parabolic_elements(J)
-            if group.is_left_minimal(v, om.meets_prime[w])
-        )
+        tgt_fiber = frozenset(group.fiber(J, om.meets_prime[w]))
         if frozenset(fm.values()) != tgt_fiber or len(set(fm.values())) != len(fm):
             return [f"fiber opposition is not a bijection at {w}"]
         if _order_reversal_failure(group, fm):

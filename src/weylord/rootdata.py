@@ -42,6 +42,9 @@ class RootSystemTable:
     convention for the full reduced system: root i is positive for i < N and
     -positive[i - N] for N <= i < 2N.  `support_mask[i]` is the support of
     positive root i as a bitmask over simple indices, in the encoding of `mask`.
+    `reflect[g][i]` is the index of s_g applied to root i of the full system,
+    so row g is the permutation of the 2N roots by the simple reflection s_g,
+    recorded by the orbit closure that finds the roots.
     """
 
     positive: tuple[Vector, ...]
@@ -50,6 +53,7 @@ class RootSystemTable:
     simple_index: tuple[int, ...]
     index: dict  # vector -> index in the full system
     support_mask: tuple[int, ...]
+    reflect: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
@@ -145,36 +149,41 @@ class RootDatum:
         data where that extension is inconsistent.
         """
         s = self.num_simple
-        known: dict[Vector, tuple[Vector, int]] = {}
+        # root -> (simple-root coefficients, multiplicity, position in discovery order)
+        known: dict[Vector, tuple[Vector, int, int]] = {}
+        # images[p][i]: position of s_i applied to root p; roots are reflected in discovery order
+        images: list[list[int]] = []
         frontier: list[Vector] = []
         for i in range(s):
             v = self.simple_roots[i]
             if v in known:
                 raise DomainError("duplicate simple root")
-            known[v] = (unit_vector(i, s), self.multiplicity[i])
+            known[v] = (unit_vector(i, s), self.multiplicity[i], i)
             frontier.append(v)
         while frontier:
             fresh: list[Vector] = []
             for v in frontier:
-                cv, mv = known[v]
+                cv, mv, _ = known[v]
+                row = []
                 for i in range(s):
                     w = self.reflect_vector(i, v)
                     cw = vsub(cv, vscale(dot(v, self.simple_coroots[i]), unit_vector(i, s)))
                     got = known.get(w)
                     if got is None:
-                        known[w] = (cw, mv)
+                        got = known[w] = (cw, mv, len(known))
                         fresh.append(w)
-                    else:
-                        if got[0] != cw:
-                            raise DomainError("corrupt datum: dependent simple roots")
-                        if got[1] != mv:
-                            raise DomainError("multiplicity is not Weyl-invariant")
+                    elif got[0] != cw:
+                        raise DomainError("corrupt datum: dependent simple roots")
+                    elif got[1] != mv:
+                        raise DomainError("multiplicity is not Weyl-invariant")
+                    row.append(got[2])
+                images.append(row)
             frontier = fresh
             if len(known) > 2 * ROOT_CAP:
                 raise DomainError("root generation exceeded the crystallographic bound (corrupt datum)")
 
         positive = []
-        for v, (c, m) in known.items():
+        for v, (c, m, _) in known.items():
             if all(x >= 0 for x in c):
                 positive.append((sum(c), c, v, m))
             elif not all(x <= 0 for x in c):
@@ -196,18 +205,18 @@ class RootDatum:
                 raise DomainError("corrupt datum: missing negative root")
             index[neg] = n + i
         simple_index = tuple(index[v] for v in self.simple_roots)
+        final = [index[v] for v in known]  # discovery position -> index
+        rows = [images[known[v][2]] for v in index]  # `index` lists the full system in order
+        reflect = tuple(tuple(final[row[i]] for row in rows) for i in range(s))
 
         # each simple reflection must permute the other positive roots
-        for i in range(s):
-            for j, v in enumerate(vectors):
-                if j == simple_index[i]:
-                    continue
-                if index[self.reflect_vector(i, v)] >= n:
-                    raise DomainError("corrupt datum: simple reflection does not permute positive roots")
+        for i, row in enumerate(reflect):
+            if any(row[j] >= n for j in range(n) if j != simple_index[i]):
+                raise DomainError("corrupt datum: simple reflection does not permute positive roots")
         support_mask = tuple(
             RootSystemTable.mask(k for k, c in enumerate(cv) if c) for cv in coeffs
         )
-        return RootSystemTable(vectors, coeffs, mult, simple_index, index, support_mask)
+        return RootSystemTable(vectors, coeffs, mult, simple_index, index, support_mask, reflect)
 
     @property
     def positive_roots(self) -> tuple[Vector, ...]:
@@ -419,10 +428,14 @@ def explicit_datum(
     split=None,
     name: str = "",
 ) -> RootDatum:
+    rank = int(rank)
+    # every vector of the datum has `rank` coordinates: bound them as presets bound their roots
+    if rank > ROOT_CAP:
+        raise InputError(f"rank {rank} is over the cap of {ROOT_CAP}")
     simple_roots = tuple(tuple(int(c) for c in v) for v in simple_roots)
     simple_coroots = tuple(tuple(int(c) for c in v) for v in simple_coroots)
     return RootDatum(
-        rank=int(rank),
+        rank=rank,
         simple_roots=simple_roots,
         simple_coroots=simple_coroots,
         name=name,

@@ -1,26 +1,27 @@
 """Weyl groups acting on the reduced roots of a datum.
 
-An element w is keyed by the weight w^{-1}(rho) in fundamental-weight
-coordinates, where rho = (1, ..., 1).  The simple reflection s_g acts on such a
-weight x by x -> x - x_g * (row g of the Cartan matrix), and the key of w*s_g
-is s_g applied to the key of w.  rho is regular, so distinct elements have
-distinct keys, and the whole group is one breadth-first pass over the orbit
-of rho, made only once the exponents show that |W| is under the cap.  Each
-element also carries its canonical (ShortLex-least) reduced word and a row of
-the right-multiplication table; its permutation of the full reduced root list
-is composed from the word on first use.  On top of the bare group this module
-computes Bruhat order, minimal coset and double-coset representatives with
-their Kostant-style decompositions, the inversion invariants d_w and delta_w,
-unipotent cross-section root sets, and the order-reversing opposition
+The whole group is one breadth-first pass over the orbit of rho, made only
+once the exponents show that |W| is under the cap.  Inside the pass an element
+w is keyed by the weight w^{-1}(rho) in fundamental-weight coordinates, where
+rho = (1, ..., 1); s_g acts on such a weight x by x -> x - x_g * (row g of the
+Cartan matrix), and rho is regular, so distinct elements have distinct keys.
+The keys are dropped after the pass.  Each element keeps its canonical
+(ShortLex-least) reduced word and a row of the right-multiplication table; its
+permutation of the full reduced root list is composed from the word and the
+root table's reflection rows on first use.  On top of the bare group this
+module computes Bruhat order, minimal coset and double-coset representatives
+with their Kostant-style decompositions, the inversion invariants d_w and
+delta_w, unipotent cross-section root sets, and the order-reversing opposition
 bijections between double-coset representative sets.
 
 Coset membership is a descent test: w is minimal in W_I w (in w W_J) exactly
-when no simple root of I is a left (of J a right) descent of w.  The right
-descents of w are the negative coordinates of its key, and the left descents
-are the right descents of w^{-1}.  The group keeps every element's left and
-right descent sets as int bitmasks over simple indices, computed on first
-use, so a membership test is one `&`.  Bruhat order is stored once, as each
-element's cone (`WeylGroup._cone`): `bruhat_leq` is one bit test, and
+when no simple root of I is a left (of J a right) descent of w.  g is a right
+descent of w when w * s_g comes before w in the (length, word) order of the
+elements, and the left descents are the right descents of w^{-1}; both are
+read off the right-multiplication table on first use, as int bitmasks over
+simple indices, so a membership test is one `&`.  `WeylGroup.fiber` reads the
+fiber W_K \\ W_J off them where it is used.  Bruhat order is stored once, as
+each element's cone (`WeylGroup._cone`): `bruhat_leq` is one bit test, and
 `bruhat_poset` and the Bruhat matrix of a double-coset table read their
 down-sets off the cones without comparing pairs.
 """
@@ -77,10 +78,10 @@ class WeylElement:
     def perm(self) -> tuple[int, ...]:
         perm = self._perm
         if perm is None:
-            gen_perms = self.group._gen_perms
+            reflect = self.group.table.reflect
             perm = tuple(range(2 * self.group.num_positive))
             for g in self.word:
-                perm = tuple([perm[r] for r in gen_perms[g]])
+                perm = tuple([perm[r] for r in reflect[g]])
             self._perm = perm
         return perm
 
@@ -118,10 +119,11 @@ class WeylGroup:
     element 0 and the longest element is last.  `_right[i][g]` is the index
     of elements[i] * s_g.
 
-    A key w^{-1}(rho) is packed into one int, `bits` bits per coordinate with
-    `bias` added: a coordinate <w^{-1}(rho), alpha_j^vee> is the height of the
-    coroot w(alpha_j^vee) up to sign, so it lies within the number of positive
-    roots, and s_g then acts on the packed key as one multiply-subtract.
+    In the build a key w^{-1}(rho) is packed into one int, `bits` bits per
+    coordinate with `bias` added: a coordinate <w^{-1}(rho), alpha_j^vee> is
+    the height of the coroot w(alpha_j^vee) up to sign, so it lies within the
+    number of positive roots, and s_g then acts on the packed key as one
+    multiply-subtract.
     """
 
     def __init__(self, datum: RootDatum, cap: int = WEYL_CAP):
@@ -133,20 +135,9 @@ class WeylGroup:
         self.table = table
         n = table.count
         self.num_positive = n
-        full = 2 * n
-
-        gen_perms = []
-        for i in range(datum.num_simple):
-            images = []
-            for r in range(full):
-                v = table.positive[r] if r < n else vscale(-1, table.positive[r - n])
-                images.append(table.index[datum.reflect_vector(i, v)])
-            gen_perms.append(tuple(images))
-        self._gen_perms = gen_perms
 
         bias = n + 1
         bits = (2 * bias).bit_length()
-        self._bias, self._bits = bias, bits
         fields = (1 << bits) - 1
         # (g, shift of coordinate g, packed row g of the Cartan matrix)
         gens = tuple(
@@ -178,7 +169,6 @@ class WeylGroup:
                 right.append(tuple(row))
             start, end = end, len(keys)
 
-        self._keys = keys
         self._right = right
         self.elements = tuple(WeylElement(self, i, w) for i, w in enumerate(words))
         self.identity = self.elements[0]
@@ -203,26 +193,24 @@ class WeylGroup:
     def gen(self, i: int) -> WeylElement:
         return self.elements[self._right[0][i]]
 
+    def _walk(self, i: int, gens) -> int:
+        """Index of elements[i] * s_{g_1} * ... * s_{g_k} for gens = (g_1, ..., g_k)."""
+        right = self._right
+        for g in gens:
+            i = right[i][g]
+        return i
+
     def mul(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        i = u.index
-        for g in v.word:
-            i = self._right[i][g]
-        return self.elements[i]
+        return self.elements[self._walk(u.index, v.word)]
 
     def inv(self, w: WeylElement) -> WeylElement:
         cached = self._inv[w.index]
         if cached is None:
-            cached = 0
-            for g in reversed(w.word):
-                cached = self._right[cached][g]
-            self._inv[w.index] = cached
+            cached = self._inv[w.index] = self._walk(0, reversed(w.word))
         return self.elements[cached]
 
     def from_word(self, gens) -> WeylElement:
-        i = 0
-        for g in gens:
-            i = self._right[i][g]
-        return self.elements[i]
+        return self.elements[self._walk(0, gens)]
 
     def word_str(self, w: WeylElement) -> str:
         if not w.word:
@@ -272,17 +260,12 @@ class WeylGroup:
         """(left, right): every element's descent sets, indexed like `elements`.
 
         Each set is a bitmask over simple indices (`RootSystemTable.mask`).
-        j is a right descent of w when w(alpha_j) < 0, that is when coordinate
-        j of the key w^{-1}(rho) is negative, and i is a left descent when it
-        is a right descent of w^{-1}.  Computed on first use, not in the group
+        Elements are sorted by length, so g is a right descent of w exactly
+        when w * s_g has the smaller index, and i is a left descent when it is
+        a right descent of w^{-1}.  Computed on first use, not in the group
         build.
         """
-        bias, bits = self._bias, self._bits
-        shifts = tuple(enumerate(range(0, bits * self.datum.num_simple, bits)))
-        fields = (1 << bits) - 1
-        right = tuple(
-            sum(1 << j for j, shift in shifts if x >> shift & fields < bias) for x in self._keys
-        )
+        right = tuple(sum(1 << g for g, j in enumerate(row) if j < i) for i, row in enumerate(self._right))
         left = tuple(right[self.inv(w).index] for w in self.elements)
         return left, right
 
@@ -314,6 +297,10 @@ class WeylGroup:
             cached = tuple(self.elements[i] for i in sorted(seen))
             self._parabolic_cache[I] = cached
         return cached
+
+    def fiber(self, J, K) -> tuple[WeylElement, ...]:
+        """Minimal representatives of W_K \\ W_J: the elements of W_J with no left descent in K."""
+        return tuple(v for v in self.parabolic_elements(J) if self.is_left_minimal(v, K))
 
     def longest_in(self, I) -> WeylElement:
         elems = self.parabolic_elements(I)
@@ -440,7 +427,6 @@ class DoubleCosetEntry:
     comeet: frozenset[int]  # I cap w(J)
     d: int
     delta: tuple[int, ...]
-    fiber: tuple[WeylElement, ...]  # minimal reps of W_meet \ W_J
 
 
 @dataclass(frozen=True)
@@ -474,17 +460,13 @@ def double_coset_table(group: WeylGroup, I, J) -> DoubleCosetTable:
     I = group.datum.check_subset(I)
     J = group.datum.check_subset(J)
     reps = group.double_coset_reps(I, J)
-    w_j = group.parabolic_elements(J)
     entries = []
     for w in reps:
         # J cap w^{-1}(I): the j in J with w(alpha_j) a simple root of I
         meet = group.image_subset(w, J, I)
         # I cap w(J): the i in I with w^{-1}(alpha_i) a simple root of J
         comeet = group.image_subset(group.inv(w), I, J)
-        fiber = tuple(v for v in w_j if group.is_left_minimal(v, meet))
-        entries.append(
-            DoubleCosetEntry(w, meet, comeet, group.d(w), group.delta(w), fiber)
-        )
+        entries.append(DoubleCosetEntry(w, meet, comeet, group.d(w), group.delta(w)))
     return DoubleCosetTable(I, J, reps, tuple(entries))
 
 
@@ -531,41 +513,28 @@ def cross_section(group: WeylGroup, I, J, iw: WeylElement) -> CrossSection:
     outside_j = ~table.mask(J)
     n = group.num_positive
     perm = iw.perm
-    u_w, u_p, u_pp = set(), set(), set()
-    n_j, n_jp, n_jpp = set(), set(), set()
-    u_j, u_jp, u_jpp = set(), set(), set()
-    for r in range(n):
-        img = perm[r]
-        if img >= n:
-            continue  # inverted: not part of the cross section
-        u_w.add(r)
-        in_levi_I = not support[img] & outside_i
-        in_phi_J = not support[r] & outside_j
-        if in_levi_I:
-            u_pp.add(r)
-            (u_jpp if in_phi_J else n_jpp).add(r)
-        else:
-            u_p.add(r)
-            (u_jp if in_phi_J else n_jp).add(r)
-        if in_phi_J:
-            u_j.add(r)
-        else:
-            n_j.add(r)
+    # the positive roots iw keeps positive; the inverted ones are not part of the cross section
+    u_w = frozenset(r for r in range(n) if perm[r] < n)
+    # those sent into the Levi of I, and those in Phi_J
+    u_dprime = frozenset(r for r in u_w if not support[perm[r]] & outside_i)
+    u_j = frozenset(r for r in u_w if not support[r] & outside_j)
+    u_prime = u_w - u_dprime
+    n_j = u_w - u_j
     return CrossSection(
         I=I,
         J=J,
         iw=iw,
         iwj=iwj,
         w_j=w_j,
-        u_w=frozenset(u_w),
-        u_prime=frozenset(u_p),
-        u_dprime=frozenset(u_pp),
-        n_j=frozenset(n_j),
-        n_j_prime=frozenset(n_jp),
-        n_j_dprime=frozenset(n_jpp),
-        u_j=frozenset(u_j),
-        u_j_prime=frozenset(u_jp),
-        u_j_dprime=frozenset(u_jpp),
+        u_w=u_w,
+        u_prime=u_prime,
+        u_dprime=u_dprime,
+        n_j=n_j,
+        n_j_prime=n_j & u_prime,
+        n_j_dprime=n_j & u_dprime,
+        u_j=u_j,
+        u_j_prime=u_j & u_prime,
+        u_j_dprime=u_j & u_dprime,
     )
 
 
@@ -613,7 +582,7 @@ def opposition_map(group: WeylGroup, I, J) -> OppositionMap:
         rep_map[w] = image
         meets_prime[w] = group.image_subset(image, J, I_prime)
         inv_k = group.inv(k_wj0)
-        fiber_maps[w] = {v: group.mul(inv_k, v) for v in entry.fiber}
+        fiber_maps[w] = {v: group.mul(inv_k, v) for v in group.fiber(J, entry.meet)}
     return OppositionMap(
         I=I,
         J=J,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weylord
 import weylord.oracle
@@ -238,19 +242,52 @@ def test_exit_codes(datum_file, tmp_path, capsys):
         ('type = "A2"\n', 'I = "a1"; J = ["a1"]\n', "'I' must be a list of strings"),
         ('type = "A2"\n', 'I = ["a1"]; J = ["a1"]; p_is_2 = "no"\n', "'p_is_2' must be a boolean"),
         ('type = "A2"\n', 'I = ["a1"]; J = ["a1"]; sigma = { supersingular = 1 }\n', "'supersingular' must be a boolean"),
+        # only ASCII digits make an integer, and int() is never handed more digits than it takes
+        pytest.param(
+            'type = "A2"\nsplit = \u00b2\n', None, "line 2: unexpected character '\u00b2'", id="superscript-digit"
+        ),
+        pytest.param(
+            'type = "A2"\nsplit = \u0663\n', None, "line 2: unexpected character '\u0663'", id="arabic-indic-digit"
+        ),
+        pytest.param(
+            'type = "A2"\nsplit = ' + "1" * 5000 + "\n",
+            None,
+            "line 2: integer literal longer than 4300 digits",
+            id="5000-digit-literal",
+        ),
+        pytest.param(
+            'type = "A2"\n',
+            "I = []; J = []\ne = " + "[" * 5000,
+            "line 2: lists and tables nest deeper than 100 levels",
+            id="lists-nested-5000-deep",
+        ),
     ],
 )
 def test_malformed_values_end_in_an_input_error(tmp_path, capsys, datum_text, scenario_text, message):
     datum = tmp_path / "datum.txt"
-    datum.write_text(datum_text)
+    datum.write_text(datum_text, encoding="utf-8")
     argv = ["info", str(datum)]
     if scenario_text is not None:
         scenario = tmp_path / "scenario.txt"
-        scenario.write_text(scenario_text)
+        scenario.write_text(scenario_text, encoding="utf-8")
         argv = ["ext", str(datum), "--scenario", str(scenario)]
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("error:") and message in err[-1]
+
+
+def _run_in_600_mb(argv):
+    """The CLI in a subprocess whose address space is capped at 600 MB."""
+    src = Path(weylord.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+    return subprocess.run(
+        [sys.executable, "-m", "weylord.cli", *argv],
+        env=env, capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+    )
 
 
 @pytest.mark.parametrize("verb", ["info", "verify"])
@@ -258,21 +295,50 @@ def test_preset_over_the_root_cap_ends_in_an_error_line(tmp_path, verb):
     datum = tmp_path / "huge.txt"
     datum.write_text('type = "A30000"\n')
     argv = ["info", str(datum)] if verb == "info" else ["verify", "--types", "A30000"]
-    src = Path(weylord.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-
-    def limit_memory():  # without the cap the Cartan block alone needs gigabytes
-        resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
-
-    run = subprocess.run(
-        [sys.executable, "-m", "weylord.cli", *argv],
-        env=env, capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
-    )
+    # without the cap the Cartan block alone needs gigabytes
+    run = _run_in_600_mb(argv)
     assert run.returncode == 1
     assert "Traceback" not in run.stderr
     assert run.stderr.strip().splitlines()[-1] == (
         "error: type A30000 has 450015000 positive roots, over the cap of 10000"
     )
+
+
+def test_explicit_rank_over_the_root_cap_ends_in_an_error_line(tmp_path):
+    datum = tmp_path / "wide.txt"
+    datum.write_text("rank = 1000000000\nsimple_roots = []\nsimple_coroots = []\n")
+    # without the cap, delta_w of the identity is a zero vector of 10^9 coordinates
+    run = _run_in_600_mb(["cosets", str(datum), "--I", "", "--J", ""])
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr.strip().splitlines()[-1] == "error: rank 1000000000 is over the cap of 10000"
+
+
+# Pieces of key/value documents: punctuation, names, keywords and ASCII and
+# non-ASCII digits (superscript two, Arabic-Indic three, Devanagari one).
+_DOCUMENT_PIECES = (
+    "[", "]", "{", "}", '"', "=", ",", ";", "#", "\n", " ", "-",
+    "rank", "type", "simple_roots", "simple_coroots", "multiplicity", "labels", "split",
+    "I", "J", "e", "sigma", "pairings", "supersingular", "a1", '"A2"', '"a1"',
+    "true", "false", "0", "1", "2", "7", "\u00b2", "\u0663", "\u0967",
+)
+
+
+@pytest.fixture(scope="module")
+def drawn_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("drawn")
+    (path / "gl4.txt").write_text(GL4)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_DOCUMENT_PIECES), max_size=60).map("".join))
+def test_random_documents_end_in_an_exit_status(drawn_dir, document):
+    drawn = drawn_dir / "drawn.txt"
+    drawn.write_text(document, encoding="utf-8")
+    for argv in (["info", str(drawn)], ["ext", str(drawn_dir / "gl4.txt"), "--scenario", str(drawn)]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("kind", ["datum_is_directory", "datum_not_utf8", "scenario_is_directory", "missing_file"])

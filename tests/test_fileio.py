@@ -76,3 +76,17 @@ def test_load_scenario_errors(gl4):
         load_scenario_text('I = ["zz"]; J = ["a1"]', gl4)
     with pytest.raises(InputError, match="unknown sigma keys"):
         load_scenario_text('I = ["a1"]; J = ["a1"]; sigma = { cuspidal = true }', gl4)
+
+
+def test_integer_and_nesting_limits_admit_what_they_bound():
+    assert parse_kv("x = -" + "9" * 4300) == {"x": -int("9" * 4300)}
+    with pytest.raises(InputError, match="line 1: integer literal longer than 4300 digits"):
+        parse_kv("x = " + "9" * 4301)
+    nested = []
+    for _ in range(99):
+        nested = [nested]
+    assert parse_kv("x = " + "[" * 100 + "]" * 100) == {"x": nested}
+    with pytest.raises(InputError, match="line 1: lists and tables nest deeper than 100 levels"):
+        parse_kv("x = " + "[" * 101 + "]" * 101)
+    with pytest.raises(InputError, match="line 1: lists and tables nest deeper than 100 levels"):
+        parse_kv("x = " + "{ y = " * 101)

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +291,14 @@ def test_profile_degree_count_is_capped(gl3):
     for e, n_max in ((1, PROFILE_CAP), (1, 10**8), (10**8, 0)):
         with pytest.raises(DomainError, match=f"over the cap of {PROFILE_CAP}"):
             full_profile(gl3, I, I, e, SS, n_max=n_max)
+
+
+def test_readme_library_snippet_prints_its_comment():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line[2:] for line in code.splitlines() if line.startswith("# w=")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert len(expected) == 1 and out.getvalue() == expected[0] + "\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -95,6 +96,16 @@ def test_case_checks_catch_a_wrong_right_multiplication_entry():
     W._right[s1.index] = tuple(row)
     found = _case_checks(W, random.Random(1))
     assert found == ["right multiplication table of a1 disagrees at a2"]
+
+
+@pytest.mark.parametrize("g", [0, 1, 2])
+def test_case_checks_catch_a_swapped_reflection_entry(g):
+    W = WeylGroup(preset_datum("B3"))
+    reflect = [list(row) for row in W.table.reflect]
+    a, b = random.Random(g).sample(range(2 * W.num_positive), 2)
+    reflect[g][a], reflect[g][b] = reflect[g][b], reflect[g][a]
+    W.table = dataclasses.replace(W.table, reflect=tuple(map(tuple, reflect)))
+    assert _case_checks(W, random.Random(1)) == [f"reflection table disagrees at a{g + 1}"]
 
 
 @pytest.mark.parametrize("dynkin, count", [("A3", 58), ("B3", 138)])

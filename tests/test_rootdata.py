@@ -32,17 +32,28 @@ def test_gl_for_non_type_a_rejected():
         preset_datum("B2", "gl")
 
 
-@pytest.mark.parametrize(
-    "type_str, count",
-    [
-        ("A2", 3), ("A1xA1", 2), ("G2", 6), ("B2", 4), ("B3", 9), ("C3", 9), ("A3", 6), ("F4", 24),
-        ("C4", 16), ("D3", 6), ("D5", 20), ("A2xB3xG2", 18),
-    ],
-)
+ROOT_COUNTS = [
+    ("A2", 3), ("A1xA1", 2), ("G2", 6), ("B2", 4), ("B3", 9), ("C3", 9), ("A3", 6), ("F4", 24),
+    ("C4", 16), ("D3", 6), ("D5", 20), ("A2xB3xG2", 18),
+]
+
+
+@pytest.mark.parametrize("type_str, count", ROOT_COUNTS)
 def test_positive_root_counts(type_str, count):
     assert preset_datum(type_str).num_positive == count
     # the preset bound reads the same count off the type alone
     assert sum(_positive_root_count(letter, n) for letter, n in parse_type(type_str)) == count
+
+
+@pytest.mark.parametrize("type_str", [t for t, _ in ROOT_COUNTS])
+def test_reflection_table_matches_reflecting_each_root(type_str):
+    datum = preset_datum(type_str)
+    table = datum.roots
+    roots = table.positive + tuple(vscale(-1, v) for v in table.positive)
+    assert len(table.reflect) == datum.num_simple
+    for g, row in enumerate(table.reflect):
+        assert row == tuple(table.index[datum.reflect_vector(g, v)] for v in roots)
+        assert row[table.simple_index[g]] == table.count + table.simple_index[g]  # s_g negates alpha_g
 
 
 def test_preset_over_the_root_cap_is_an_input_error():

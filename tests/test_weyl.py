@@ -166,10 +166,25 @@ def test_double_coset_table(w_gl3, gl3):
     assert by_word["e"].meet == frozenset() and by_word["e"].comeet == frozenset()
     assert by_word["a2 a1"].meet == J and by_word["a2 a1"].comeet == I
     assert by_word["a2 a1"].d == 2 and by_word["a2 a1"].delta == (2, -1, -1)
-    assert [str(v) for v in by_word["e"].fiber] == ["e", "a2"]
-    assert [str(v) for v in by_word["a2 a1"].fiber] == ["e"]
+    assert [str(v) for v in w_gl3.fiber(J, by_word["e"].meet)] == ["e", "a2"]
+    assert [str(v) for v in w_gl3.fiber(J, by_word["a2 a1"].meet)] == ["e"]
     # identity is below the other representative
     assert table.leq[0][1] and not table.leq[1][0]
+
+
+@pytest.mark.parametrize(
+    "datum", [preset_datum("B3"), preset_datum("A3", "gl", name="GL4")], ids=lambda d: d.name
+)
+def test_fiber_is_the_left_minimal_part_of_w_j(datum):
+    W = weyl_group(datum)
+    n = datum.num_simple
+    subsets = [frozenset(k for k in range(n) if mask >> k & 1) for mask in range(1 << n)]
+    for I, J in itertools.product(subsets, repeat=2):
+        w_j = W.parabolic_elements(J)
+        for entry in double_coset_table(W, I, J).entries:
+            fiber = W.fiber(J, entry.meet)
+            assert fiber == tuple(v for v in w_j if W.is_left_minimal(v, entry.meet))
+            assert len(fiber) * len(W.parabolic_elements(entry.meet)) == len(w_j)
 
 
 def test_dw_delta(w_gl3):
@@ -284,7 +299,7 @@ def test_descent_masks_match_root_criterion():
 def test_table_leq_is_lazy_and_matches_bruhat():
     W = weyl_group(preset_datum("B3"))
     table = double_coset_table(W, frozenset({0}), frozenset({1}))
-    assert len(table.reps) > 2 and all(e.fiber for e in table.entries)
+    assert len(table.reps) > 2 and all(W.fiber(table.J, e.meet) for e in table.entries)
     assert "leq" not in vars(table)
     for a, u in enumerate(table.reps):
         for b, v in enumerate(table.reps):
