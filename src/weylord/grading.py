@@ -104,7 +104,6 @@ class GradedTerm:
     side: str
     degree: int
     conjugator: WeylElement
-    outer: frozenset
     inducing: frozenset
     inner_levi: frozenset
     inner_subset: frozenset
@@ -220,7 +219,6 @@ def _terms_by_degree(group, table, e, degrees, sigma, side, sign, opposite) -> d
                     side=side,
                     degree=n,
                     conjugator=entry.rep,
-                    outer=J,
                     inducing=entry.meet,
                     inner_levi=I,
                     inner_subset=inner,
@@ -273,13 +271,11 @@ def surviving(terms) -> list[GradedTerm]:
 
 @dataclass(frozen=True)
 class GradingReport:
-    datum_name: str
     I: frozenset
     J: frozenset
     e: int
     sigma: SigmaDescriptor
     side: str
-    opposite: bool
     max_degree: int
     terms: dict  # degree -> tuple[GradedTerm, ...]
     corollary_checks: dict = field(default_factory=dict)
@@ -313,13 +309,11 @@ def full_profile(
     by_degree = _terms_by_degree(group, table, e, range(top + 1), sigma, side, sign, opposite)
     terms = {n: tuple(ts) for n, ts in by_degree.items()}
     report = GradingReport(
-        datum_name=datum.name or "datum",
         I=I,
         J=J,
         e=e,
         sigma=sigma,
         side=side,
-        opposite=opposite,
         max_degree=top,
         terms=terms,
     )

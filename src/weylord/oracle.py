@@ -203,11 +203,10 @@ def _case_checks(group: WeylGroup, rng: random.Random) -> list[str]:
             out.append(f"length of {w} differs from its inversion count")
         if group.from_word(w.word) != w:
             out.append(f"canonical word of {w} does not multiply back")
-        d = group.d(w)
+        d, delta = group.dw_delta(w)
         if d < w.length:
             out.append(f"d({w}) smaller than the length")
-        nd, ndelta = naive_dw_delta(group, w)
-        if (d, group.delta(w)) != (nd, ndelta):
+        if (d, delta) != naive_dw_delta(group, w):
             out.append(f"inversion data of {w} disagrees with the naive recomputation")
         if all(m == 1 for m in group.datum.multiplicity) and d != w.length:
             out.append(f"d({w}) differs from the length on an all-1 datum")
@@ -348,16 +347,31 @@ def _double_checks(group: WeylGroup, I, J, covers, proj1, table) -> list[str]:
 
 
 def _cross_section_checks(group: WeylGroup, I, J) -> list[str]:
+    """Each of the nine cross-section sets against its definition, root by root.
+
+    A positive root gamma is in u_w when iw keeps it positive; then it is in
+    the dprime sets when iw(gamma) lies in the Levi of I (else the prime ones),
+    and in the u_j sets when gamma lies in Phi_J (else the n_j ones).
+    """
+    table = group.table
+    n = group.num_positive
+    in_i = [table.support(r) <= I for r in range(n)]
+    in_j = [table.support(r) <= J for r in range(n)]
+    names = ("u_w", "u_prime", "u_dprime", "n_j", "n_j_prime", "n_j_dprime", "u_j", "u_j_prime", "u_j_dprime")
     for iw in group.min_coset_reps(I):
         cs = cross_section(group, I, J, iw)
-        if cs.n_j != cs.n_j_prime | cs.n_j_dprime or cs.n_j_prime & cs.n_j_dprime:
-            return [f"unipotent intersection sets do not split at {iw}"]
-        if cs.u_j != cs.u_j_prime | cs.u_j_dprime or cs.u_j_prime & cs.u_j_dprime:
-            return [f"Levi-part sets do not split at {iw}"]
-        if cs.u_w != cs.u_j | cs.n_j or cs.u_j & cs.n_j:
-            return [f"cross-section does not split at {iw}"]
-        if cs.u_w != cs.u_prime | cs.u_dprime or cs.u_prime & cs.u_dprime:
-            return [f"prime splitting fails at {iw}"]
+        expected = {name: set() for name in names}
+        for r in range(n):
+            image = iw.perm[r]
+            if image >= n:
+                continue
+            levi = "dprime" if in_i[image] else "prime"
+            part = "u_j" if in_j[r] else "n_j"
+            for name in ("u_w", f"u_{levi}", part, f"{part}_{levi}"):
+                expected[name].add(r)
+        for name in names:
+            if getattr(cs, name) != expected[name]:
+                return [f"cross-section set {name} disagrees with its definition at {iw}"]
     return []
 
 
@@ -407,15 +421,15 @@ def _partition_checks(group: WeylGroup, I, J, table, om) -> list[str]:
     w_j0 = group.longest_in(J)
     for entry in table.entries:
         w = entry.rep
-        w_prime = om.rep_map[w]
+        d_prime, delta_prime = group.dw_delta(om.rep_map[w])
         d_meet, delta_meet = _subset_d_delta(group, entry.comeet)
         k_wj0 = group.mul(group.longest_in(entry.meet), w_j0)
-        if d_j != (d_meet - d_i) + entry.d + group.d(w_prime):
+        if d_j != (d_meet - d_i) + entry.d + d_prime:
             return [f"dimension partition identity fails at {w} for I={lab(I)}, J={lab(J)}"]
         lhs = delta_j
         rhs = vadd(
             vadd(group.inv(w).apply(vsub(delta_meet, delta_i)), entry.delta),
-            k_wj0.apply(group.delta(w_prime)),
+            k_wj0.apply(delta_prime),
         )
         if lhs != rhs:
             return [f"character partition identity fails at {w} for I={lab(I)}, J={lab(J)}"]

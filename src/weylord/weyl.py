@@ -10,9 +10,11 @@ The keys are dropped after the pass.  Each element keeps its canonical
 permutation of the full reduced root list is composed from the word and the
 root table's reflection rows on first use.  On top of the bare group this
 module computes Bruhat order, minimal coset and double-coset representatives
-with their Kostant-style decompositions, the inversion invariants d_w and
-delta_w, unipotent cross-section root sets, and the order-reversing opposition
-bijections between double-coset representative sets.
+with their Kostant-style decompositions, double-coset tables, unipotent
+cross-section root sets, and the order-reversing opposition bijections between
+double-coset representative sets.  Each table entry is read off its
+representative w's one root permutation: w carries the meet J cap w^{-1}(I)
+onto the comeet I cap w(J), and d_w and delta_w take one inversion pass.
 
 Coset membership is a descent test: w is minimal in W_I w (in w W_J) exactly
 when no simple root of I is a left (of J a right) descent of w.  g is a right
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import DomainError
-from .intlinalg import vadd, vscale, zero_vector
 from .posets import FinitePoset, _bits
 from .rootdata import RootDatum, RootSystemTable
 
@@ -93,12 +94,6 @@ class WeylElement:
     def __hash__(self):
         return self.index
 
-    def __mul__(self, other):
-        return self.group.mul(self, other)
-
-    def inverse(self):
-        return self.group.inv(self)
-
     def apply(self, v):
         """Image of a character-lattice vector."""
         for g in reversed(self.word):
@@ -106,7 +101,9 @@ class WeylElement:
         return v
 
     def __str__(self):
-        return self.group.word_str(self)
+        if not self.word:
+            return "e"
+        return " ".join(self.group.datum.labels[g] for g in self.word)
 
     def __repr__(self):
         return f"<{self}>"
@@ -212,11 +209,6 @@ class WeylGroup:
     def from_word(self, gens) -> WeylElement:
         return self.elements[self._walk(0, gens)]
 
-    def word_str(self, w: WeylElement) -> str:
-        if not w.word:
-            return "e"
-        return " ".join(self.datum.labels[g] for g in w.word)
-
     def parse_word(self, text: str) -> WeylElement:
         """Accept a word over simple-root labels; reduces and canonicalises."""
         text = text.strip()
@@ -238,20 +230,15 @@ class WeylGroup:
         perm = w.perm
         return tuple(r for r in range(n) if perm[r] >= n)
 
-    def d(self, w: WeylElement) -> int:
-        """Total multiplicity of the inversion set."""
-        mult = self.table.mult
-        return sum(mult[r] for r in self.inversions(w))
-
-    def delta(self, w: WeylElement) -> tuple[int, ...]:
-        """Multiplicity-weighted sum of the inversion roots, in X* coordinates."""
-        out = zero_vector(self.datum.rank)
-        for r in self.inversions(w):
-            out = vadd(out, vscale(self.table.mult[r], self.table.positive[r]))
-        return out
-
     def dw_delta(self, w: WeylElement) -> tuple[int, tuple[int, ...]]:
-        return self.d(w), self.delta(w)
+        """The inversion roots' total multiplicity d_w and weighted sum delta_w (X*), in one pass."""
+        mult, positive = self.table.mult, self.table.positive
+        d, delta = 0, [0] * self.datum.rank
+        for r in self.inversions(w):
+            d += mult[r]
+            for k, c in enumerate(positive[r]):
+                delta[k] += mult[r] * c
+        return d, tuple(delta)
 
     # -- descents and minimality ----------------------------------------------
 
@@ -384,10 +371,6 @@ class WeylGroup:
         simple = self.table.simple_index
         return [(k, self._simple_at.get(perm[simple[k]])) for k in K]
 
-    def image_subset(self, w: WeylElement, J, into) -> frozenset[int]:
-        """{ j in J : w(alpha_j) is a simple root belonging to `into` }."""
-        return frozenset(j for j, i in self._simple_images(w, J) if i in into)
-
     def transport_subset(self, w: WeylElement, K) -> frozenset[int]:
         """Apply w to a subset of simple roots; all images must stay simple."""
         images = self._simple_images(w, K)
@@ -424,8 +407,8 @@ def bruhat_poset(group: WeylGroup, elements=None):
 class DoubleCosetEntry:
     rep: WeylElement
     meet: frozenset[int]  # J cap w^{-1}(I), the inducing subset
-    comeet: frozenset[int]  # I cap w(J)
-    d: int
+    comeet: frozenset[int]  # I cap w(J) = w(meet)
+    d: int  # d and delta: one `WeylGroup.dw_delta` pass over w's inversions
     delta: tuple[int, ...]
 
 
@@ -462,11 +445,11 @@ def double_coset_table(group: WeylGroup, I, J) -> DoubleCosetTable:
     reps = group.double_coset_reps(I, J)
     entries = []
     for w in reps:
-        # J cap w^{-1}(I): the j in J with w(alpha_j) a simple root of I
-        meet = group.image_subset(w, J, I)
-        # I cap w(J): the i in I with w^{-1}(alpha_i) a simple root of J
-        comeet = group.image_subset(group.inv(w), I, J)
-        entries.append(DoubleCosetEntry(w, meet, comeet, group.d(w), group.delta(w)))
+        # w(alpha_j) = alpha_i iff w^{-1}(alpha_i) = alpha_j: the (j, i) give meet and comeet
+        pairs = [(j, i) for j, i in group._simple_images(w, J) if i in I]
+        meet = frozenset(j for j, _ in pairs)
+        comeet = frozenset(i for _, i in pairs)
+        entries.append(DoubleCosetEntry(w, meet, comeet, *group.dw_delta(w)))
     return DoubleCosetTable(I, J, reps, tuple(entries))
 
 
@@ -485,9 +468,6 @@ class CrossSection:
 
     I: frozenset[int]
     J: frozenset[int]
-    iw: WeylElement
-    iwj: WeylElement
-    w_j: WeylElement
     u_w: frozenset[int]
     u_prime: frozenset[int]
     u_dprime: frozenset[int]
@@ -498,15 +478,12 @@ class CrossSection:
     u_j_prime: frozenset[int]
     u_j_dprime: frozenset[int]
 
-    def weight(self, group: WeylGroup, roots) -> int:
-        mult = group.table.mult
-        return sum(mult[r] for r in roots)
-
 
 def cross_section(group: WeylGroup, I, J, iw: WeylElement) -> CrossSection:
     I = group.datum.check_subset(I)
     J = group.datum.check_subset(J)
-    iwj, w_j = group.double_decompose(I, J, iw)
+    if not group.is_left_minimal(iw, I):
+        raise DomainError("element is not a minimal left-coset representative")
     table = group.table
     support = table.support_mask
     outside_i = ~table.mask(I)
@@ -523,9 +500,6 @@ def cross_section(group: WeylGroup, I, J, iw: WeylElement) -> CrossSection:
     return CrossSection(
         I=I,
         J=J,
-        iw=iw,
-        iwj=iwj,
-        w_j=w_j,
         u_w=u_w,
         u_prime=u_prime,
         u_dprime=u_dprime,
@@ -580,7 +554,7 @@ def opposition_map(group: WeylGroup, I, J) -> OppositionMap:
         if image.index not in tgt:
             raise DomainError("opposition image is not a double-coset representative")
         rep_map[w] = image
-        meets_prime[w] = group.image_subset(image, J, I_prime)
+        meets_prime[w] = frozenset(j for j, i in group._simple_images(image, J) if i in I_prime)
         inv_k = group.inv(k_wj0)
         fiber_maps[w] = {v: group.mul(inv_k, v) for v in group.fiber(J, entry.meet)}
     return OppositionMap(

@@ -137,13 +137,13 @@ def test_criterion_04_partition_identities(groups):
             w_j0 = group.longest_in(J)
             for entry in double_coset_table(group, I, J).entries:
                 w = entry.rep
-                w_prime = om.rep_map[w]
+                d_prime, delta_prime = group.dw_delta(om.rep_map[w])
                 d_meet, delta_meet = _subset_d_delta(group, entry.comeet)
                 k_wj0 = group.mul(group.longest_in(entry.meet), w_j0)
-                assert d_j == (d_meet - d_i) + entry.d + group.d(w_prime)
+                assert d_j == (d_meet - d_i) + entry.d + d_prime
                 rhs = vadd(
                     vadd(group.inv(w).apply(vsub(delta_meet, delta_i)), entry.delta),
-                    k_wj0.apply(group.delta(w_prime)),
+                    k_wj0.apply(delta_prime),
                 )
                 assert delta_j == rhs
     print("\nACCEPTANCE 4 partition-identities: PASS")

@@ -3,12 +3,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import weylord.oracle
 from weylord import preset_datum, weyl_group
 from weylord.oracle import (
     SweepCase,
     _bruhat_covers,
     _case_checks,
+    _cross_section_checks,
     _left_checks,
     _order_reversal_failure,
     brute_double_reps,
@@ -74,7 +78,7 @@ def test_sweep_multiplicity_case():
     reports = sweep(cases=[SweepCase("A2", multiplicity=(2, 2))])
     assert all(r.agreement for r in reports)
     W = weyl_group(SweepCase("A2", multiplicity=(2, 2)).build())
-    assert all(W.d(w) == 2 * w.length for w in W)
+    assert all(W.dw_delta(w)[0] == 2 * w.length for w in W)
 
 
 @pytest.mark.parametrize("side", [0, 1])
@@ -298,3 +302,77 @@ def test_case_checks_catch_a_corrupted_bruhat_cone(dynkin, kind):
         assert found and found[0].startswith("Bruhat co"), found
         # the subword search catches the same corruption
         assert _subword_disagreement(W, random.Random(2)) is not None
+
+
+# -- cross sections against their definitions --------------------------------------
+
+
+def _subset_pairs(n):
+    subsets = [frozenset(k for k in range(n) if mask >> k & 1) for mask in range(1 << n)]
+    return list(itertools.product(subsets, repeat=2))
+
+
+def test_cross_section_checks_name_a_grown_set(monkeypatch):
+    # u_j_dprime grown by n_j_dprime: the grown set is reported by name
+    # wherever some iw has a root in n_j_dprime, and nowhere else
+    W = weyl_group(preset_datum("B3"))
+    honest = weylord.oracle.cross_section
+
+    def grown(group, I, J, iw):
+        cs = honest(group, I, J, iw)
+        return dataclasses.replace(cs, u_j_dprime=cs.u_j_dprime | cs.n_j_dprime)
+
+    monkeypatch.setattr(weylord.oracle, "cross_section", grown)
+    reported = 0
+    for I, J in _subset_pairs(3):
+        found = _cross_section_checks(W, I, J)
+        assert bool(found) == any(honest(W, I, J, iw).n_j_dprime for iw in W.min_coset_reps(I))
+        if found:
+            assert len(found) == 1
+            assert found[0].startswith("cross-section set u_j_dprime disagrees with its definition at ")
+            reported += 1
+    assert reported == 49
+
+
+def test_cross_section_checks_catch_another_elements_sets(monkeypatch):
+    # every iw gets the identity's sets: each family is consistent in itself,
+    # so only the definitions can tell
+    W = weyl_group(preset_datum("B3"))
+    honest = weylord.oracle.cross_section
+    monkeypatch.setattr(
+        weylord.oracle, "cross_section", lambda group, I, J, iw: honest(group, I, J, group.identity)
+    )
+    assert _cross_section_checks(W, frozenset(), frozenset()) == [
+        "cross-section set u_w disagrees with its definition at a1"
+    ]
+
+
+# -- random product types ------------------------------------------------------------
+
+COMPONENTS = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
+
+
+@st.composite
+def _product_cases(draw):
+    """A product of COMPONENTS of total rank at most 3, on a lattice that fits it."""
+    parts = []
+    rank = 0
+    while not parts or draw(st.booleans()):
+        fitting = [c for c in COMPONENTS if rank + int(c[1:]) <= 3]
+        if not fitting:
+            break
+        part = draw(st.sampled_from(fitting))
+        parts.append(part)
+        rank += int(part[1:])
+    lattices = ["simply_connected", "adjoint"]
+    if all(part[0] == "A" for part in parts):
+        lattices.append("gl")
+    return SweepCase("x".join(parts), draw(st.sampled_from(lattices)))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(_product_cases())
+def test_random_product_types_agree_with_the_oracle(case):
+    reports = sweep([case])
+    assert len(reports) == 4 ** case.build().num_simple
+    assert [r.first_divergence for r in reports if not r.agreement] == []

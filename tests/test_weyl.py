@@ -202,7 +202,7 @@ def test_dw_delta_multiplicity():
     assert d == 2
     assert delta == tuple(2 * c for c in dat.simple_roots[0])
     for w in W:
-        assert W.d(w) == 2 * w.length
+        assert W.dw_delta(w)[0] == 2 * w.length
 
 
 def test_cross_section_identity(w_gl3, gl3):
@@ -225,7 +225,7 @@ def test_cross_section_deep_cell(w_gl3, gl3):
     assert {pos[r] for r in cs.u_w} == {(0, 1, -1)}
     assert cs.n_j == frozenset()
     n_j_weight = sum(w_gl3.table.mult[r] for r in range(3) if not w_gl3.table.support(r) <= J)
-    assert w_gl3.d(w) == n_j_weight - cs.weight(w_gl3, cs.n_j)
+    assert w_gl3.dw_delta(w)[0] == n_j_weight - sum(w_gl3.table.mult[r] for r in cs.n_j)
 
 
 def test_cross_section_disjoint_unions(w_gl4, gl4):
