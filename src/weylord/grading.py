@@ -15,7 +15,9 @@ twist exponent -delta_w; `side="jacquet"` follows the left-adjoint
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError
 from .intlinalg import vscale
@@ -83,16 +85,14 @@ class SigmaDescriptor:
         return self.ord_vanishes_for if side == ORD else self.jacquet_vanishes_for
 
 
-@dataclass(frozen=True)
-class TermStatus:
+class TermStatus(NamedTuple):
     kind: str  # "zero" | "proven" | "conjectural"
     rule: str
     reason: str = ""
     note: str = ""
 
 
-@dataclass(frozen=True)
-class GradedTerm:
+class GradedTerm(NamedTuple):
     """One symbolic graded piece at a fixed degree.
 
     degree = inner_degree + e * d_w;  the twist is an exponent vector for the
@@ -134,13 +134,25 @@ class GradedTerm:
         return f"w={word}: [{tag}] {text}"
 
 
-def _status_for_surviving(w, J, meet, n) -> TermStatus:
-    if meet == J:  # the image of J under w lies inside I: trivial outer induction
-        return TermStatus("proven", RULE_LEVI_FORM)
-    if n == 0 and w.length == 0:
-        return TermStatus("proven", RULE_DEGREE_ZERO)
-    note = EMERTON_NOTE if w.length == 0 else ""
-    return TermStatus("conjectural", RULE_CONJECTURAL, note=note)
+_LEVI_FORM = TermStatus("proven", RULE_LEVI_FORM)
+_DEGREE_ZERO = TermStatus("proven", RULE_DEGREE_ZERO)
+_CONJECTURAL = TermStatus("conjectural", RULE_CONJECTURAL)
+_CONJECTURAL_AT_IDENTITY = TermStatus("conjectural", RULE_CONJECTURAL, note=EMERTON_NOTE)
+_NEGATIVE = TermStatus("zero", RULE_NEGATIVE, "inner functor vanishes in negative degree")
+_ABOVE_TOP = TermStatus("zero", RULE_TOP, "inner degree above the top of the unipotent group")
+_DECLARED_ZERO = TermStatus("zero", RULE_DECLARED, "declared vanishing of the degree-zero inner functor")
+_FULL_LEVI = {
+    ORD: TermStatus("zero", RULE_FULL_LEVI, "higher ordinary parts of the full Levi vanish"),
+    JACQUET: TermStatus("zero", RULE_FULL_LEVI, "higher homology of the trivial unipotent group vanishes"),
+}
+_CUSPIDAL_ZERO = {
+    ORD: TermStatus(
+        "zero", RULE_CUSPIDAL, "ordinary parts of a cuspidal representation vanish on proper parabolics"
+    ),
+    JACQUET: TermStatus(
+        "zero", RULE_CUSPIDAL, "coinvariants of a cuspidal representation vanish on proper parabolics"
+    ),
+}
 
 
 def _check_side_and_e(side: str, e: int) -> None:
@@ -163,73 +175,88 @@ def _twist_sign(I: frozenset, sigma: SigmaDescriptor, side: str, opposite: bool)
     return sign
 
 
-def _terms_by_degree(group, table, e, degrees, sigma, side, sign, opposite) -> dict:
-    """The graded pieces of each degree in `degrees`, all read off one table.
+class _DegreeTerms(Mapping):
+    """Degree -> tuple of graded pieces for 0 <= degree <= `max_degree`, built on first read.
 
-    An entry's top inner degree and twist do not depend on the degree, so
-    they are computed once per entry (the top once per distinct comeet).
+    Each table entry is one row (entry, lo, top, twist): lo = e * d_w, top is
+    e times the weight of the comeet inside I, and the twist is the side's
+    sign times delta_w.  None of these depends on the degree.  An entry's
+    piece is zero below lo and above lo + top (top is 0 when the comeet is
+    I), and only degree lo can meet the cuspidal or declared rule; so
+    `survivors` walks each entry's window [lo, lo + top] and costs
+    O(reps + survivors).
     """
-    I, J = table.I, table.J
-    cuspidal = sigma.cuspidal_for(side)
-    declared = sigma.declared_for(side)
-    negative = TermStatus("zero", RULE_NEGATIVE, "inner functor vanishes in negative degree")
-    full_levi = TermStatus(
-        "zero",
-        RULE_FULL_LEVI,
-        "higher ordinary parts of the full Levi vanish"
-        if side == ORD
-        else "higher homology of the trivial unipotent group vanishes",
-    )
-    above_top = TermStatus("zero", RULE_TOP, "inner degree above the top of the unipotent group")
-    cuspidal_zero = TermStatus(
-        "zero",
-        RULE_CUSPIDAL,
-        "ordinary parts of a cuspidal representation vanish on proper parabolics"
-        if side == ORD
-        else "coinvariants of a cuspidal representation vanish on proper parabolics",
-    )
-    declared_zero = TermStatus("zero", RULE_DECLARED, "declared vanishing of the degree-zero inner functor")
-    weights: dict = {}
-    rows = []
-    for entry in table.entries:
-        inner = entry.comeet  # I cap w(J)
-        if inner not in weights:
-            weights[inner] = group.table.subset_weight(I, inner)
-        rows.append((entry, e * weights[inner], vscale(sign, entry.delta)))
-    out = {}
-    for n in degrees:
-        terms = []
-        for entry, top, twist in rows:
-            inner = entry.comeet
-            m = n - e * entry.d
-            if m < 0:
-                status = negative
-            elif inner == I and m > 0:
-                status = full_levi
-            elif m > top:
-                status = above_top
-            elif m == 0 and inner != I and cuspidal:
-                status = cuspidal_zero
-            elif m == 0 and inner != I and inner in declared:
-                status = declared_zero
-            else:
-                status = _status_for_surviving(entry.rep, J, entry.meet, n)
-            terms.append(
-                GradedTerm(
-                    side=side,
-                    degree=n,
-                    conjugator=entry.rep,
-                    inducing=entry.meet,
-                    inner_levi=I,
-                    inner_subset=inner,
-                    inner_degree=m,
-                    twist=twist,
-                    status=status,
-                    opposite_flag=opposite,
-                )
-            )
-        out[n] = terms
-    return out
+
+    def __init__(self, group, table, e, sigma, side, sign, opposite, max_degree):
+        self.I, self.J, self.side, self.opposite = table.I, table.J, side, opposite
+        self.max_degree = max_degree
+        self.cuspidal = sigma.cuspidal_for(side)
+        self.declared = sigma.declared_for(side)
+        weights: dict = {}
+        self.rows = []
+        for entry in table.entries:
+            inner = entry.comeet  # I cap w(J)
+            if inner not in weights:
+                weights[inner] = group.table.subset_weight(self.I, inner)
+            self.rows.append((entry, e * entry.d, e * weights[inner], vscale(sign, entry.delta)))
+        self._built: dict = {}
+
+    def _status(self, entry, m, top) -> TermStatus:
+        """The rule for an entry's piece in inner degree m: every vanishing rule is here."""
+        inner = entry.comeet
+        if m < 0:
+            return _NEGATIVE
+        if inner == self.I and m > 0:
+            return _FULL_LEVI[self.side]
+        if m > top:
+            return _ABOVE_TOP
+        if m == 0 and inner != self.I:
+            if self.cuspidal:
+                return _CUSPIDAL_ZERO[self.side]
+            if inner in self.declared:
+                return _DECLARED_ZERO
+        if entry.meet == self.J:  # the image of J under w lies inside I: trivial outer induction
+            return _LEVI_FORM
+        if entry.rep.length:
+            return _CONJECTURAL
+        return _DEGREE_ZERO if m == 0 else _CONJECTURAL_AT_IDENTITY
+
+    def _term(self, row, n, status=None) -> GradedTerm:
+        entry, lo, top, twist = row
+        m = n - lo
+        if status is None:
+            status = self._status(entry, m, top)
+        return GradedTerm(
+            self.side, n, entry.rep, entry.meet, self.I, entry.comeet, m, twist, status, self.opposite
+        )
+
+    def survivors(self) -> dict:
+        """Degree -> the surviving pieces of that degree, in table order."""
+        alive: dict = {}
+        for row in self.rows:
+            entry, lo, top, _ = row
+            for n in range(lo, min(lo + top, self.max_degree) + 1):
+                status = self._status(entry, n - lo, top)
+                if status.kind != "zero":
+                    alive.setdefault(n, []).append(self._term(row, n, status))
+        return alive
+
+    def __getitem__(self, n: int) -> tuple:
+        terms = self._built.get(n)
+        if terms is None:
+            if n not in range(self.max_degree + 1):
+                raise KeyError(n)
+            terms = self._built[n] = tuple(self._term(row, n) for row in self.rows)
+        return terms
+
+    def __iter__(self):
+        return iter(range(self.max_degree + 1))
+
+    def __len__(self) -> int:
+        return self.max_degree + 1
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def graded_terms(
@@ -251,7 +278,7 @@ def graded_terms(
     J = datum.check_subset(J)
     sign = _twist_sign(I, sigma, side, opposite)
     table = double_coset_table(group, I, J)
-    return _terms_by_degree(group, table, e, (n,), sigma, side, sign, opposite)[n]
+    return list(_DegreeTerms(group, table, e, sigma, side, sign, opposite, n)[n])
 
 
 def hord_graded_pieces(datum, I, J, e, n, sigma) -> list[GradedTerm]:
@@ -271,17 +298,27 @@ def surviving(terms) -> list[GradedTerm]:
 
 @dataclass(frozen=True)
 class GradingReport:
+    """The graded pieces of every degree from 0 to `max_degree`.
+
+    `terms` maps each degree to the tuple of its pieces, one per double-coset
+    representative and zero pieces included.  A degree's tuple is built the
+    first time it is read.  The surviving pieces are found when the report is
+    made, from each representative's window of degrees, so `surviving(n)`
+    and the corollary checks cost only the survivors.
+    """
+
     I: frozenset
     J: frozenset
     e: int
     sigma: SigmaDescriptor
     side: str
     max_degree: int
-    terms: dict  # degree -> tuple[GradedTerm, ...]
+    terms: Mapping  # degree -> tuple[GradedTerm, ...], read-only
     corollary_checks: dict = field(default_factory=dict)
+    _alive: dict = field(default_factory=dict, repr=False, compare=False)  # degree -> survivors
 
     def surviving(self, n: int) -> list[GradedTerm]:
-        return surviving(self.terms.get(n, ()))
+        return list(self._alive.get(n, ()))
 
 
 def full_profile(
@@ -306,8 +343,7 @@ def full_profile(
     top = max(n_max, e * d_max)
     if top + 1 > PROFILE_CAP:
         raise DomainError(f"the profile covers {top + 1} degrees, over the cap of {PROFILE_CAP}")
-    by_degree = _terms_by_degree(group, table, e, range(top + 1), sigma, side, sign, opposite)
-    terms = {n: tuple(ts) for n, ts in by_degree.items()}
+    terms = _DegreeTerms(group, table, e, sigma, side, sign, opposite, top)
     report = GradingReport(
         I=I,
         J=J,
@@ -316,6 +352,7 @@ def full_profile(
         side=side,
         max_degree=top,
         terms=terms,
+        _alive=terms.survivors(),
     )
     report.corollary_checks.update(_corollary_checks(datum, group, report))
     return report

@@ -452,8 +452,8 @@ def _grading_checks(datum: RootDatum, group: WeylGroup, I, J, e_values) -> list[
         plain = SigmaDescriptor()
         d_j, _ = _subset_d_delta(group, J)
         profile = full_profile(datum, I, J, e, plain, n_max=e * d_j + e, side=ORD)
-        for n, terms in profile.terms.items():
-            for t in surviving(terms):
+        for n in range(profile.max_degree + 1):
+            for t in profile.surviving(n):
                 if n > e * d_j:
                     return [f"term above the degree support at I={lab(I)}, J={lab(J)}, n={n}"]
                 for b in t.inducing:

@@ -41,7 +41,8 @@ class RootSystemTable:
     coordinates in the simple-root basis and `mult[i]` its multiplicity.  Index
     convention for the full reduced system: root i is positive for i < N and
     -positive[i - N] for N <= i < 2N.  `support_mask[i]` is the support of
-    positive root i as a bitmask over simple indices, in the encoding of `mask`.
+    positive root i as a bitmask over simple indices, in the encoding of `mask`,
+    and `supports[i]` the same support as a frozenset.
     `reflect[g][i]` is the index of s_g applied to root i of the full system,
     so row g is the permutation of the 2N roots by the simple reflection s_g,
     recorded by the orbit closure that finds the roots.
@@ -53,6 +54,7 @@ class RootSystemTable:
     simple_index: tuple[int, ...]
     index: dict  # vector -> index in the full system
     support_mask: tuple[int, ...]
+    supports: tuple[frozenset[int], ...]
     reflect: tuple[tuple[int, ...], ...]
 
     @property
@@ -68,7 +70,7 @@ class RootSystemTable:
         return out
 
     def support(self, i: int) -> frozenset[int]:
-        return frozenset(k for k, c in enumerate(self.coeffs[i]) if c)
+        return self.supports[i]
 
     def subset_weight(self, inside, outside) -> int:
         """Total multiplicity of positive roots supported in `inside` but not in `outside`."""
@@ -213,10 +215,9 @@ class RootDatum:
         for i, row in enumerate(reflect):
             if any(row[j] >= n for j in range(n) if j != simple_index[i]):
                 raise DomainError("corrupt datum: simple reflection does not permute positive roots")
-        support_mask = tuple(
-            RootSystemTable.mask(k for k, c in enumerate(cv) if c) for cv in coeffs
-        )
-        return RootSystemTable(vectors, coeffs, mult, simple_index, index, support_mask, reflect)
+        supports = tuple(frozenset(k for k, c in enumerate(cv) if c) for cv in coeffs)
+        support_mask = tuple(RootSystemTable.mask(sup) for sup in supports)
+        return RootSystemTable(vectors, coeffs, mult, simple_index, index, support_mask, supports, reflect)
 
     @property
     def positive_roots(self) -> tuple[Vector, ...]:

@@ -202,6 +202,26 @@ def test_cli_import_leaves_the_oracle_out():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    # 1008 reps, about 100 KB of output: more than the pipe and the reader's
+    # buffer hold, so the command is still writing when the pipe closes
+    datum = tmp_path / "b5.txt"
+    datum.write_text('type = "B5"\n')
+    src = Path(weylord.__file__).resolve().parents[1]
+    code = "from weylord.cli import main_entry; main_entry()"
+    with subprocess.Popen(
+        [sys.executable, "-c", code, "cosets", str(datum), "--I", "a1", "--J", "a1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"I = [a1]  J = [a1]  reps: 1008")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
+
+
 def test_exit_codes(datum_file, tmp_path, capsys):
     # unknown flag: command-line error
     assert main(["cosets", datum_file, "--I", "a1", "--J", "a2", "--bogus"]) == 1

@@ -242,8 +242,10 @@ def _subset_delta(group, K):
     return out
 
 
-# declared vanishing of the degree-zero inner functor along the empty subset
-DECLARED = SigmaDescriptor(ord_vanishes_for={frozenset()}, jacquet_vanishes_for={frozenset()})
+def _declared_below(I) -> SigmaDescriptor:
+    """Declared vanishing of the degree-zero inner functors along every proper subset of I."""
+    proper = [frozenset(c) for k in range(len(I)) for c in itertools.combinations(sorted(I), k)]
+    return SigmaDescriptor(ord_vanishes_for=proper, jacquet_vanishes_for=proper)
 
 
 @pytest.mark.parametrize(
@@ -251,15 +253,23 @@ DECLARED = SigmaDescriptor(ord_vanishes_for={frozenset()}, jacquet_vanishes_for=
     [("A3", "gl", None), ("B3", "simply_connected", None), ("G2", "simply_connected", None), ("A2", "simply_connected", (2, 2))],
 )
 def test_profile_matches_graded_terms(type_str, lattice, multiplicity):
+    """A profile's terms, read lazily, and its survivors equal the degree-by-degree construction."""
     datum = preset_datum(type_str, lattice, multiplicity=multiplicity)
-    last = datum.num_simple - 1
-    pairs = [({0}, {0}), ({0}, {last}), (set(range(datum.num_simple)), {last})]
+    group = weyl_group(datum)
+    r = datum.num_simple
+    subsets = [frozenset(c) for k in range(r + 1) for c in itertools.combinations(range(r), k)]
     sides = [(ORD, False), (JACQUET, False), (JACQUET, True)]
-    for (I, J), (side, opposite), sigma, e in itertools.product(pairs, sides, (SS, PLAIN, DECLARED), (1, 2)):
-        report = full_profile(datum, I, J, e, sigma, n_max=1, side=side, opposite=opposite)
-        assert sorted(report.terms) == list(range(report.max_degree + 1))
-        for n, terms in report.terms.items():
-            assert terms == tuple(graded_terms(datum, I, J, e, n, sigma, side=side, opposite=opposite))
+    for (I, J), e in zip(itertools.product(subsets, subsets), itertools.cycle((1, 2))):
+        d_max = max(entry.d for entry in double_coset_table(group, I, J).entries)
+        for (side, opposite), sigma in itertools.product(sides, (PLAIN, SS, _declared_below(I))):
+            report = full_profile(datum, I, J, e, sigma, n_max=e * d_max + 2, side=side, opposite=opposite)
+            eager = {
+                n: tuple(graded_terms(datum, I, J, e, n, sigma, side=side, opposite=opposite))
+                for n in range(report.max_degree + 1)
+            }
+            assert report.terms == eager
+            for n in range(report.max_degree + 2):
+                assert report.surviving(n) == surviving(report.terms.get(n, ()))
 
 
 @pytest.mark.parametrize(

@@ -354,7 +354,11 @@ COMPONENTS = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2")
 
 @st.composite
 def _product_cases(draw):
-    """A product of COMPONENTS of total rank at most 3, on a lattice that fits it."""
+    """A product of COMPONENTS of total rank at most 3, on a lattice that fits it.
+
+    Each W-orbit of simple roots gets one multiplicity in 1-3: one orbit in
+    type A, and in B, C and G2 one for a1..a(n-1) and one for the last root.
+    """
     parts = []
     rank = 0
     while not parts or draw(st.booleans()):
@@ -367,7 +371,16 @@ def _product_cases(draw):
     lattices = ["simply_connected", "adjoint"]
     if all(part[0] == "A" for part in parts):
         lattices.append("gl")
-    return SweepCase("x".join(parts), draw(st.sampled_from(lattices)))
+    lattice = draw(st.sampled_from(lattices))
+    mult = st.integers(1, 3)
+    multiplicity = []
+    for part in parts:
+        n = int(part[1:])
+        if part[0] == "A":
+            multiplicity += [draw(mult)] * n
+        else:
+            multiplicity += [draw(mult)] * (n - 1) + [draw(mult)]
+    return SweepCase("x".join(parts), lattice, multiplicity=tuple(multiplicity))
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
